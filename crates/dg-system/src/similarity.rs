@@ -6,7 +6,7 @@
 //! fraction of blocks residing in the LLC" measurement (§2).
 
 use dg_compress::{bdi, dedup_savings};
-use dg_mem::{ApproxRegion, BlockData, BLOCK_BYTES};
+use dg_mem::{ApproxRegion, BlockData, ElemType, BLOCK_BYTES};
 use doppelganger::analysis::{map_savings, threshold_savings};
 use doppelganger::MapSpace;
 use std::collections::HashMap;
@@ -15,8 +15,7 @@ use std::collections::HashMap;
 pub type Snapshot = Vec<(BlockData, ApproxRegion)>;
 
 /// Deterministically subsample a snapshot to at most `max` blocks
-/// (stride sampling), bounding the cost of the quadratic-ish
-/// threshold clustering.
+/// (stride sampling), bounding the cost of the threshold clustering.
 fn sample(snapshot: &Snapshot, max: usize) -> Vec<(&BlockData, &ApproxRegion)> {
     let n = snapshot.len();
     if n <= max {
@@ -61,27 +60,31 @@ pub fn avg_dopp_bdi_savings(snapshots: &[Snapshot], space: MapSpace) -> f64 {
         if snap.is_empty() {
             return 0.0;
         }
-        let mut reps: HashMap<(u64, u64, u64, u8), &BlockData> = HashMap::new();
+        // The first block of every (annotation envelope, map) pair is
+        // the one the data array keeps.
+        let mut reps = HashMap::new();
         for (block, region) in snap {
-            let key = (
-                space.map_block(block, region).0,
-                region.min.to_bits(),
-                region.max.to_bits(),
-                region.ty as u8,
-            );
-            reps.entry(key).or_insert(block);
+            reps.entry((envelope_key(region), space.map_block(block, region))).or_insert(block);
         }
         let stored: u64 = reps.values().map(|b| bdi::compressed_size(b) as u64).sum();
         1.0 - stored as f64 / (snap.len() * BLOCK_BYTES) as f64
     })
 }
 
+/// Annotation-envelope identity, bitwise as in `doppelganger::analysis`
+/// (private there; `map_savings` must count exactly the pairs keyed
+/// here, which `dopp_bdi_keys_envelopes_like_map_savings` holds).
+fn envelope_key(region: &ApproxRegion) -> (ElemType, u64, u64) {
+    (region.ty, region.min.to_bits(), region.max.to_bits())
+}
+
 fn average(snapshots: &[Snapshot], f: impl Fn(&Snapshot) -> f64) -> f64 {
-    let non_empty: Vec<&Snapshot> = snapshots.iter().filter(|s| !s.is_empty()).collect();
-    if non_empty.is_empty() {
+    let non_empty = || snapshots.iter().filter(|s| !s.is_empty());
+    let n = non_empty().count();
+    if n == 0 {
         return 0.0;
     }
-    non_empty.iter().map(|s| f(s)).sum::<f64>() / non_empty.len() as f64
+    non_empty().map(f).sum::<f64>() / n as f64
 }
 
 #[cfg(test)]
@@ -145,6 +148,26 @@ mod tests {
         let dopp = avg_map_savings(&snaps, MapSpace::new(14));
         let both = avg_dopp_bdi_savings(&snaps, MapSpace::new(14));
         assert!(both > dopp, "{both} vs {dopp}");
+    }
+
+    #[test]
+    fn dopp_bdi_keys_envelopes_like_map_savings() {
+        // One block under annotations that differ only in the sign of a
+        // zero bound, in type, or not at all (a moved copy, a point
+        // range twice): Dopp+BdI must keep one compressed copy per
+        // (envelope, map) pair `map_savings` counts.
+        let b = blk(5.0);
+        let at = |min, max| ApproxRegion::new(Addr(0), 1 << 20, ElemType::F32, min, max);
+        let moved = ApproxRegion { start: Addr(1 << 30), ..at(0.0, 100.0) };
+        let int = ApproxRegion { ty: ElemType::I32, ..at(5.0, 5.0) };
+        let regions = [at(-0.0, 100.0), at(0.0, 100.0), moved, at(5.0, 5.0), at(5.0, 5.0), int];
+        let snap: Snapshot = regions.iter().map(|&r| (b, r)).collect();
+        let space = MapSpace::new(14);
+        let kept = map_savings(snap.iter().map(|(b, r)| (b, r)), space).stored_blocks;
+        assert_eq!(kept, 4);
+        let stored = kept * bdi::compressed_size(&b);
+        let expected = 1.0 - stored as f64 / (snap.len() * BLOCK_BYTES) as f64;
+        assert_eq!(avg_dopp_bdi_savings(&[snap], space), expected);
     }
 
     #[test]

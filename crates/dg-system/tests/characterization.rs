@@ -103,3 +103,90 @@ fn reset_stats_preserves_contents() {
     run_pattern(&mut sys, &pattern);
     assert_eq!(sys.llc_counters().misses(), 0, "reset must not drop cache contents");
 }
+
+/// Fig. 2 (T = 0 / 0.01 / 0.1 / 1 / 10 %), Fig. 7 (12/13/14-bit maps)
+/// and Fig. 8 (BΔI, exact dedup, 14-bit Dopp+BΔI) savings of one
+/// kernel's baseline snapshots, as the `to_bits` of each column.
+fn similarity_row(kernel: &dyn dg_workloads::Kernel) -> [u64; 11] {
+    use dg_system::similarity::*;
+    use doppelganger::MapSpace;
+    let snaps = dg_system::collect_snapshots(kernel, SystemConfig::tiny(LlcKind::Baseline), 4);
+    let t = |t| avg_threshold_savings(&snaps, t, 4096);
+    let m = |m| avg_map_savings(&snaps, MapSpace::new(m));
+    [
+        t(0.0),
+        t(0.0001),
+        t(0.001),
+        t(0.01),
+        t(0.1),
+        m(12),
+        m(13),
+        m(14),
+        avg_bdi_savings(&snaps),
+        avg_dedup_savings(&snaps),
+        avg_dopp_bdi_savings(&snaps, MapSpace::new(14)),
+    ]
+    .map(f64::to_bits)
+}
+
+/// Captured at the commit before `threshold_savings` got its candidate
+/// index: Fig. 2 / Fig. 7 / Fig. 8 columns per line, see
+/// [`similarity_row`]. Any drift is a changed similarity analysis.
+#[rustfmt::skip]
+const SIMILARITY_PINS: [(&str, [u64; 11]); 9] = [
+    ("blackscholes", [
+        0x3fce000000000000, 0x3fdf400000000000, 0x3fdf400000000000, 0x3fdf400000000000, 0x3fe4200000000000,
+        0x3fdf400000000000, 0x3fdf400000000000, 0x3fdec00000000000,
+        0x0000000000000000, 0x3fce000000000000, 0x3fdec00000000000,
+    ]),
+    ("canneal", [
+        0x3fc7000000000000, 0x3fc7000000000000, 0x3fc7000000000000, 0x3fc7000000000000, 0x3fc7000000000000,
+        0x3fc7d55555555555, 0x3fc7555555555555, 0x3fc7555555555555,
+        0x3fe7020000000000, 0x3fc7000000000000, 0x3fe7205555555555,
+    ]),
+    ("ferret", [
+        0x3fc7a17a17a17a18, 0x3fd91b91b91b91ba, 0x3fd91b91b91b91ba, 0x3fd91b91b91b91ba, 0x3fe13b13b13b13b1,
+        0x3fd91b91b91b91ba, 0x3fd81f81f81f81f8, 0x3fd5a95a95a95a96,
+        0x0000000000000000, 0x3fc7a17a17a17a18, 0x3fd5a95a95a95a96,
+    ]),
+    ("fluidanimate", [
+        0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x3fee000000000000,
+        0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+        0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    ]),
+    ("inversek2j", [
+        0x3fdfc00000000000, 0x3fdf800000000000, 0x3fdf800000000000, 0x3fe0a00000000000, 0x3fee800000000000,
+        0x3fdf800000000000, 0x3fdf800000000000, 0x3fdf800000000000,
+        0x3fdf800000000000, 0x3fdfc00000000000, 0x3fdffe0000000000,
+    ]),
+    ("jmeint", [
+        0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+        0x3f85555555555540, 0x3f6c71c71c71c700, 0x0000000000000000,
+        0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    ]),
+    ("jpeg", [
+        0x3fea0aaaaaaaaaaa, 0x3fea000000000000, 0x3fea000000000000, 0x3feb777777777778, 0x3fef511111111111,
+        0x3fecd77777777778, 0x3fec333333333333, 0x3fec333333333333,
+        0x3feca0d555555556, 0x3fea0aaaaaaaaaaa, 0x3feda15dddddddde,
+    ]),
+    ("kmeans", [
+        0x3fd500a957fab541, 0x3fd500a957fab541, 0x3fd500a957fab541, 0x3fd500a957fab541, 0x3feef7668844cbbd,
+        0x3fd6bd304a167daf, 0x3fd5fead500a9581, 0x3fd5fead500a9581,
+        0x0000000000000000, 0x3fd500a957fab541, 0x3fd5fead500a9581,
+    ]),
+    ("swaptions", [
+        0x3fe0000000000000, 0x3fe0000000000000, 0x3fe0000000000000, 0x3fe0000000000000, 0x3fe0000000000000,
+        0x3fe0000000000000, 0x3fe0000000000000, 0x3fe0000000000000,
+        0x0000000000000000, 0x3fe0000000000000, 0x3fe0000000000000,
+    ]),
+];
+
+#[test]
+fn similarity_columns_are_pinned_for_the_small_suite() {
+    let suite = dg_workloads::small_suite(0xd09);
+    assert_eq!(suite.len(), SIMILARITY_PINS.len());
+    for (k, (name, pinned)) in suite.iter().zip(SIMILARITY_PINS) {
+        assert_eq!(k.name(), name);
+        assert_eq!(similarity_row(k.as_ref()), pinned, "{name}: a Fig. 2/7/8 column moved");
+    }
+}

@@ -1,14 +1,121 @@
-//! Property tests of map generation and the hardware-cost model
-//! (dg-check harness).
+//! Property tests of map generation, the threshold-similarity analysis
+//! and the hardware-cost model (dg-check harness).
 
-use dg_check::{props, vec};
+use dg_check::{any, props, vec, SplitMix64};
 use dg_mem::{Addr, ApproxRegion, BlockAddr, BlockData, ElemType};
+use doppelganger::analysis::{threshold_savings, SavingsReport};
 use doppelganger::{
     DoppelgangerCache, DoppelgangerConfig, HardwareCost, MapHash, MapSpace, WriteStatus,
 };
+use std::collections::HashSet;
 
 fn region(min: f64, max: f64) -> ApproxRegion {
     ApproxRegion::new(Addr(0), 1 << 24, ElemType::F32, min, max)
+}
+
+/// The all-pairs greedy scan `threshold_savings` was before it got its
+/// candidate index, kept as the reference it must agree with: every
+/// block against every stored representative of its envelope (bitwise
+/// bounds), `BlockData::approx_similar` deciding each pair.
+fn threshold_savings_by_scan(blocks: &[(BlockData, ApproxRegion)], t: f64) -> SavingsReport {
+    let stored_blocks = if t == 0.0 {
+        blocks.iter().map(|(b, _)| b.as_bytes()).collect::<HashSet<_>>().len()
+    } else {
+        let mut reps: Vec<&(BlockData, ApproxRegion)> = Vec::new();
+        for entry @ (block, region) in blocks {
+            let found = reps.iter().any(|(rep, rep_region)| {
+                rep_region.ty == region.ty
+                    && rep_region.min.to_bits() == region.min.to_bits()
+                    && rep_region.max.to_bits() == region.max.to_bits()
+                    && block.approx_similar(rep, region.ty, t, region.range())
+            });
+            if !found {
+                reps.push(entry);
+            }
+        }
+        reps.len()
+    };
+    SavingsReport { total_blocks: blocks.len(), stored_blocks }
+}
+
+/// Annotation envelopes of the differential test: all four element
+/// types, two that differ only in the sign of a zero bound, a point
+/// range (tolerance 0), a range so narrow that `value / tolerance`
+/// overflows, and NaN bounds (tolerance NaN).
+fn envelope(pick: u8) -> ApproxRegion {
+    let (ty, min, max) = match pick % 9 {
+        0 => (ElemType::F32, 0.0, 100.0),
+        1 => (ElemType::F32, -0.0, 100.0),
+        2 => (ElemType::F64, -1.0, 1.0),
+        3 => (ElemType::F64, 0.0, 1024.0),
+        4 => (ElemType::I32, -1000.0, 1000.0),
+        5 => (ElemType::U8, 0.0, 255.0),
+        6 => (ElemType::F64, 5.0, 5.0),
+        7 => (ElemType::F64, 0.0, 1e-300),
+        _ => (ElemType::F32, f64::NAN, f64::NAN),
+    };
+    // Not `ApproxRegion::new`, which refuses the NaN bounds.
+    ApproxRegion { start: Addr(0), len: 1 << 24, ty, min, max }
+}
+
+/// One block for `region`, of the value shape `shape` selects; `tol`
+/// is the tolerance the analysis will use (`t x range`), so that
+/// jitter and grid edges land where its index has to be exact.
+fn shaped_block(region: &ApproxRegion, shape: u8, seed: u64, tol: f64) -> BlockData {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let n = region.ty.elems_per_block();
+    let (min, range) =
+        if region.range().is_finite() { (region.min, region.range()) } else { (0.0, 1.0) };
+    let step = if tol.is_finite() && tol > 0.0 { tol } else { range / 64.0 };
+    let center = min + range * f64::from(rng.gen_range(0u8..4)) / 4.0;
+    let mut vals = vec![center; n];
+    match shape % 6 {
+        // Exact duplicates of a few constants.
+        0 => {}
+        // Clusters: within 1.5 tolerances of a shared centre.
+        1 => {
+            for v in &mut vals {
+                *v += step * rng.gen_range(-1.5..1.5);
+            }
+        }
+        // Uniform over the annotated range.
+        2 => {
+            for v in &mut vals {
+                *v = min + range * rng.next_f64();
+            }
+        }
+        // NaN, infinities, a denormal and a negative zero among
+        // clustered values, element 0 (the indexed one) included.
+        3 => {
+            const ODD: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 5e-324, -0.0];
+            for v in &mut vals {
+                if rng.gen_bool(0.2) {
+                    *v = ODD[rng.gen_range(0..ODD.len())];
+                }
+            }
+            if rng.gen_bool(0.5) {
+                vals[0] = ODD[rng.gen_range(0..ODD.len())];
+            }
+        }
+        // Every element on an edge of the index's grid (cells
+        // `2 x tol` wide) — near zero, or at the largest quotient it
+        // keys — or exactly one tolerance past such an edge; each also
+        // one ulp to either side.
+        4 => {
+            const FAR: i64 = 1 << 50;
+            let k =
+                [-3, -2, -1, 0, 1, 2, 3, FAR - 1, FAR, 1 - FAR, -FAR][rng.gen_range(0usize..11)];
+            let edge = k as f64 * (2.0 * step) + if rng.gen_bool(0.5) { step } else { 0.0 };
+            vals.fill(match rng.gen_range(0u8..3) {
+                0 => edge.next_down(),
+                1 => edge,
+                _ => edge.next_up(),
+            });
+        }
+        // Arbitrary bit patterns.
+        _ => return BlockData::from_bytes(rng.gen()),
+    }
+    BlockData::from_values(region.ty, &vals)
 }
 
 props! {
@@ -146,6 +253,36 @@ props! {
         bm.sort_unstable_by_key(|&(a, ..)| a);
         bp.sort_unstable_by_key(|&(a, ..)| a);
         assert_eq!(bm, bp);
+    }
+
+    /// The indexed `threshold_savings` reports exactly what the
+    /// all-pairs scan reports, for the same blocks in the same order —
+    /// the greedy count depends on the order, so each order is compared
+    /// with the reference run on that order.
+    fn threshold_savings_matches_the_scan(
+        specs in vec((0u8..9, 0u8..6, any::<u64>()), 0..160),
+        edges_only in any::<bool>(),
+        t_pick in 0usize..8,
+        order_seed in any::<u64>(),
+    ) {
+        let t = [0.0, 1e-9, 1e-4, 0.1, 1.0, 10.0, -0.5, f64::NAN][t_pick];
+        let mut blocks: Vec<(BlockData, ApproxRegion)> = specs
+            .iter()
+            .map(|&(pick, shape, seed)| {
+                // Half the cases crowd the two plain f64 envelopes with
+                // grid-edge blocks, so that pairs a cell and a
+                // tolerance apart do occur.
+                let (pick, shape) = if edges_only { (2 + pick % 2, 4) } else { (pick, shape) };
+                let region = envelope(pick);
+                (shaped_block(&region, shape, seed, t * region.range()), region)
+            })
+            .collect();
+        let mut rng = SplitMix64::seed_from_u64(order_seed);
+        for _ in 0..3 {
+            let indexed = threshold_savings(blocks.iter().map(|(b, r)| (b, r)), t);
+            assert_eq!(indexed, threshold_savings_by_scan(&blocks, t), "t = {t}");
+            rng.shuffle(&mut blocks);
+        }
     }
 
     /// Hardware cost accounting is monotone: more tag entries or a

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline build + tests, plus a hermeticity check
-# asserting the dependency graph contains only in-repo workspace crates
-# (see README.md, "Hermetic build & determinism").
+# Tier-1 verification: offline build + tests, the benchmark's smoke run
+# against its golden digests, plus a hermeticity check asserting the
+# dependency graph contains only in-repo workspace crates (see
+# README.md, "Hermetic build & determinism").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,6 +11,18 @@ cargo build --release --offline --locked
 
 echo "== test (offline) =="
 cargo test -q --offline --workspace
+
+echo "== benchmark smoke: benchmark/run.sh --smoke =="
+# The repository benchmark at ~1/20 size with verification: every
+# sim_* workload recomputes its statistics digest (simulated counters,
+# and for sim_sweep_paper the Fig. 2/7/8 similarity rows) against
+# benchmark/golden/*, the sampled workload holds its tolerance rule and
+# the servers their replay identity. A mismatch is ops_failed > 0 and
+# exit 1, with a "# digest mismatch" note naming the unit in the
+# report it prints; the timings there are not judged. (The benchmark
+# refuses to start, exit 2, while any DG_* variable is set.)
+benchmark/run.sh --smoke
+echo "ok: benchmark smoke verified every workload against its golden digest"
 
 echo "== hermeticity: cargo tree must list only workspace crates =="
 # Every line of `cargo tree` names a crate with a version. Workspace
