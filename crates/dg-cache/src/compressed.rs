@@ -4,11 +4,15 @@
 //! Three ideas from the compression literature compose here:
 //!
 //! * **BΔI compression** (Pekhimenko et al., PACT 2012) shrinks each
-//!   64-byte block to 1–40 bytes when its values share a base; the
-//!   encoder/decoder pair lives in `dg-compress` and must round-trip
-//!   exactly — the stored image is `decompress(compress(block))`, so a
-//!   lossy codec would corrupt program output and trip the lockstep
-//!   oracle on the first fill.
+//!   64-byte block to 1–41 bytes when its values share a base. Placing
+//!   a line needs only its compressed *size*, so fills and writebacks
+//!   ask `dg-compress` for the size class (`bdi::compressed_size`, one
+//!   allocation-free pass) and keep the block's own bytes; the
+//!   encoder/decoder pair is not run per access. It must still
+//!   round-trip exactly: [`CompressedCache::check_invariants`] holds
+//!   every stored block to `decompress(compress(x)) == x`, and the
+//!   oracle twin stores the round-trip image itself, so a lossy codec
+//!   trips the lockstep gate on the first byte it loses.
 //! * **Segment-granular data array**: capacity is accounted in fixed
 //!   [`CompressedConfig::segment_bytes`] segments rather than ways, so
 //!   a set holds more blocks the better they compress. Segments are
@@ -254,11 +258,12 @@ impl fmt::Display for CompStats {
 
 /// One resident (compressed) block under a superblock tag.
 ///
-/// The data is kept in *decompressed* form — `decompress(compress(x))`
-/// at insertion — so reads are copies, while `seg_count` charges the
-/// capacity the compressed image would occupy. Storing the round-trip
-/// image rather than the original keeps the codec load-bearing: any
-/// lossy encoding shows up as wrong bytes, not just wrong counters.
+/// The data is kept in *decompressed* form — the block as it was
+/// written — so reads are copies, while `seg_count` charges the
+/// capacity its BΔI image would occupy. The codec stays load-bearing
+/// off the access path: `check_invariants` round-trips these bytes and
+/// `OracleCompressed` stores the decoded image, so any lossy encoding
+/// shows up as wrong bytes, not just wrong counters.
 #[derive(Clone, Debug)]
 struct CompBlock {
     dirty: bool,
@@ -450,9 +455,7 @@ impl CompressedCache {
             return false;
         };
         self.stats.hits += 1;
-        let comp = bdi::compress(data);
-        let stored = bdi::decompress(&comp);
-        let new_segs = self.cfg.segments_for(comp.size_bytes());
+        let new_segs = self.cfg.segments_for(bdi::compressed_size(data));
         self.stats.recompressions += 1;
         let old_segs = self.sets[set].tags[way].as_ref().expect("located tag is valid").blocks
             [sub]
@@ -475,7 +478,7 @@ impl CompressedCache {
         let tag = self.sets[set].tags[way].as_mut().expect("located tag is valid");
         tag.last_use = stamp;
         let blk = tag.blocks[sub].as_mut().expect("located block is valid");
-        blk.data = stored;
+        blk.data = *data;
         blk.dirty = true;
         blk.seg_count = new_segs;
         blk.last_use = stamp;
@@ -498,11 +501,10 @@ impl CompressedCache {
         emit: &mut dyn FnMut(Evicted),
     ) {
         debug_assert!(self.locate(addr).is_none(), "fill of a resident block");
-        let comp = bdi::compress(data);
-        let stored = bdi::decompress(&comp);
-        let segs = self.cfg.segments_for(comp.size_bytes());
+        let size = bdi::compressed_size(data);
+        let segs = self.cfg.segments_for(size);
         self.stats.compressions += 1;
-        self.stats.fill_bytes += comp.size_bytes() as u64;
+        self.stats.fill_bytes += size as u64;
         self.stats.fill_segments += segs as u64;
         self.stats.insertions += 1;
 
@@ -547,7 +549,7 @@ impl CompressedCache {
         let stamp = self.stamp;
         let tag = self.sets[set].tags[way].as_mut().expect("tag acquired above");
         tag.last_use = stamp;
-        tag.blocks[sub] = Some(CompBlock { dirty, seg_count: segs, last_use: stamp, data: stored });
+        tag.blocks[sub] = Some(CompBlock { dirty, seg_count: segs, last_use: stamp, data: *data });
         self.stats.data_seg_accesses += segs as u64;
         if enabled(Level::Metrics) {
             self.record_occupancy(set);
@@ -619,7 +621,9 @@ impl CompressedCache {
 
     /// Structural self-checks, used by the differential harness:
     /// segment accounting balances, no empty tags linger, per-block
-    /// footprints match what the encoder says the stored data needs.
+    /// footprints match what the encoder says the stored data needs,
+    /// and the codec reproduces every stored block exactly (the round
+    /// trip the access path no longer runs).
     pub fn check_invariants(&self) {
         let budget = self.cfg.segments_per_set();
         for (si, set) in self.sets.iter().enumerate() {
@@ -634,11 +638,19 @@ impl CompressedCache {
                         blk.seg_count
                     );
                     assert!(blk.last_use <= slot.last_use, "set {si}: block newer than its tag");
-                    // The stored image must still compress to the
-                    // footprint it was charged (codec determinism +
-                    // exact round-trip).
-                    let again = self.cfg.segments_for(bdi::compress(&blk.data).size_bytes());
+                    // The stored block must still compress to the
+                    // footprint it was charged, and decode back to
+                    // itself: a cache that keeps the original bytes is
+                    // exact only if the codec it models is.
+                    let comp = bdi::compress(&blk.data);
+                    let again = self.cfg.segments_for(comp.size_bytes());
                     assert_eq!(again, blk.seg_count, "set {si}: stale segment footprint");
+                    assert_eq!(
+                        bdi::decompress(&comp),
+                        blk.data,
+                        "set {si}: BΔI round trip lost data under {}",
+                        comp.encoding()
+                    );
                     used += blk.seg_count;
                 }
             }
@@ -860,7 +872,65 @@ mod tests {
         assert_eq!(ev.iter().map(|e| e.addr.0).collect::<Vec<_>>(), vec![1]);
         assert_eq!(c.stats().expansion_evictions, 1);
         assert!(c.contains(BlockAddr(0)));
-        assert_eq!(c.peek(BlockAddr(0)), Some(&bdi::decompress(&bdi::compress(&incompressible(8)))));
+        assert_eq!(c.peek(BlockAddr(0)), Some(&incompressible(8)));
+        c.check_invariants();
+    }
+
+    fn resident(c: &CompressedCache, addr: BlockAddr) -> &CompBlock {
+        let (set, way, sub) = c.locate(addr).expect("block is resident");
+        c.sets[set].tags[way].as_ref().unwrap().blocks[sub].as_ref().unwrap()
+    }
+
+    #[test]
+    fn stored_bytes_are_the_input_and_footprint_is_its_size_class() {
+        // One block per BΔI class that matters to placement: zeros (1
+        // segment), repeat, narrow and wide base+delta, raw (8).
+        let narrow: Vec<f64> = (0..16).map(|i| 100_000.0 + i as f64).collect();
+        let wide: Vec<f64> = (0..16).map(|i| 100_000.0 + 200.0 * i as f64).collect();
+        let inputs = [
+            BlockData::zeroed(),
+            blk(3.5),
+            BlockData::from_values(ElemType::I32, &narrow),
+            BlockData::from_values(ElemType::I32, &wide),
+            incompressible(5),
+        ];
+        let mut c = tiny();
+        let mut ev = Vec::new();
+        let mut footprints = Vec::new();
+        for (i, input) in inputs.iter().enumerate() {
+            // Fill with the previous class, then rewrite with this one:
+            // both paths, growing and shrinking, must store `input`.
+            let addr = BlockAddr(i as u64 * 4);
+            let before = &inputs[(i + inputs.len() - 1) % inputs.len()];
+            c.fill(addr, before, false, &mut |e| ev.push(e));
+            assert_eq!(c.peek(addr).unwrap().as_bytes(), before.as_bytes());
+            assert!(c.write(addr, input, &mut |e| ev.push(e)));
+            assert_eq!(c.peek(addr).unwrap().as_bytes(), input.as_bytes());
+            let want = c.cfg.segments_for(bdi::compressed_size(input));
+            assert_eq!(resident(&c, addr).seg_count, want);
+            footprints.push(want);
+            c.check_invariants();
+            c.invalidate(addr).unwrap();
+        }
+        assert_eq!(footprints, vec![1, 1, 3, 5, 8]);
+        assert_eq!(c.stats().compressions, 5);
+        assert_eq!(c.stats().recompressions, 5);
+        assert!(ev.is_empty());
+    }
+
+    /// `check_invariants` re-derives everything from the stored bytes:
+    /// a block altered behind the cache's back no longer matches the
+    /// footprint it was charged. (The round-trip assertion beside it
+    /// runs on the same bytes; only a lossy codec can trip that one.)
+    #[test]
+    #[should_panic(expected = "stale segment footprint")]
+    fn check_invariants_rejects_a_corrupted_stored_block() {
+        let mut c = tiny();
+        c.fill(BlockAddr(0), &blk(1.0), false, &mut |_| {});
+        c.check_invariants();
+        let (set, way, sub) = c.locate(BlockAddr(0)).unwrap();
+        let stored = c.sets[set].tags[way].as_mut().unwrap().blocks[sub].as_mut().unwrap();
+        stored.data = incompressible(9);
         c.check_invariants();
     }
 

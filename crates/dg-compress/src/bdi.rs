@@ -97,21 +97,34 @@ fn fits_signed(delta: i64, width: usize) -> bool {
     (min..=max).contains(&delta)
 }
 
+/// The block as eight little-endian words, in address order.
+fn load_words(block: &BlockData) -> [u64; 8] {
+    let mut words = [0u64; 8];
+    for (w, chunk) in words.iter_mut().zip(block.as_bytes().chunks_exact(8)) {
+        *w = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8) yields 8 bytes"));
+    }
+    words
+}
+
 /// Whether a block is compressible with a particular base/delta pair
 /// using two bases: an arbitrary base (the first value that is not a
-/// small immediate) and the implicit zero base.
-fn base_delta_applies(bytes: &[u8; BLOCK_BYTES], base_w: usize, delta_w: usize) -> bool {
+/// small immediate) and the implicit zero base. `BASE` is the value
+/// width in bytes; values are the little-endian lanes of `words`.
+#[inline]
+fn base_delta_applies<const BASE: usize>(words: &[u64; 8], delta_w: usize) -> bool {
     let mut base: Option<i64> = None;
-    for off in (0..BLOCK_BYTES).step_by(base_w) {
-        let v = sign_extend(read_value(bytes, off, base_w), base_w);
-        if fits_signed(v, delta_w) {
-            continue; // immediate (delta from the zero base)
-        }
-        match base {
-            None => base = Some(v),
-            Some(b) => {
-                if !fits_signed(v.wrapping_sub(b), delta_w) {
-                    return false;
+    for &word in words {
+        for lane in 0..8 / BASE {
+            let v = sign_extend(word >> (lane * 8 * BASE), BASE);
+            if fits_signed(v, delta_w) {
+                continue; // immediate (delta from the zero base)
+            }
+            match base {
+                None => base = Some(v),
+                Some(b) => {
+                    if !fits_signed(v.wrapping_sub(b), delta_w) {
+                        return false;
+                    }
                 }
             }
         }
@@ -120,6 +133,14 @@ fn base_delta_applies(bytes: &[u8; BLOCK_BYTES], base_w: usize, delta_w: usize) 
 }
 
 /// Choose the best (smallest) BΔI encoding for a block.
+///
+/// The block is loaded once as eight words and nothing is allocated:
+/// zeros and repeat are decided from the words, then the base/delta
+/// candidates are tried in [`BdiEncoding::CANDIDATES`] order and the
+/// first that applies wins. That order is non-decreasing in size and
+/// every candidate is smaller than `Uncompressed` (pinned by
+/// `candidates_are_size_sorted`), so the first hit is the smallest
+/// encoding — and, on the 38-byte tie, base2-Δ1 ahead of base4-Δ2.
 ///
 /// # Example
 ///
@@ -133,25 +154,24 @@ fn base_delta_applies(bytes: &[u8; BLOCK_BYTES], base_w: usize, delta_w: usize) 
 /// assert_eq!(choose_encoding(&block), BdiEncoding::BaseDelta { base: 4, delta: 1 });
 /// ```
 pub fn choose_encoding(block: &BlockData) -> BdiEncoding {
-    let bytes = block.as_bytes();
-    let mut best = BdiEncoding::Uncompressed;
-    for &cand in BdiEncoding::CANDIDATES.iter() {
-        let applies = match cand {
-            BdiEncoding::Zeros => bytes.iter().all(|&b| b == 0),
-            BdiEncoding::Repeat => {
-                let first = read_value(bytes, 0, 8);
-                (8..BLOCK_BYTES).step_by(8).all(|off| read_value(bytes, off, 8) == first)
-            }
-            BdiEncoding::BaseDelta { base, delta } => {
-                base_delta_applies(bytes, base as usize, delta as usize)
-            }
-            BdiEncoding::Uncompressed => true,
+    let words = load_words(block);
+    if words.iter().all(|&w| w == words[0]) {
+        return if words[0] == 0 { BdiEncoding::Zeros } else { BdiEncoding::Repeat };
+    }
+    for &cand in &BdiEncoding::CANDIDATES[2..] {
+        let BdiEncoding::BaseDelta { base, delta } = cand else {
+            unreachable!("CANDIDATES[2..] are the base/delta forms");
         };
-        if applies && cand.size_bytes() < best.size_bytes() {
-            best = cand;
+        let applies = match base {
+            8 => base_delta_applies::<8>(&words, delta as usize),
+            4 => base_delta_applies::<4>(&words, delta as usize),
+            _ => base_delta_applies::<2>(&words, delta as usize),
+        };
+        if applies {
+            return cand;
         }
     }
-    best
+    BdiEncoding::Uncompressed
 }
 
 /// Compressed size of a block in bytes under the best BΔI encoding.
@@ -338,6 +358,15 @@ mod tests {
         assert_eq!(BdiEncoding::BaseDelta { base: 4, delta: 2 }.size_bytes(), 38);
         // 2 + 32*1 + 4 = 38
         assert_eq!(BdiEncoding::BaseDelta { base: 2, delta: 1 }.size_bytes(), 38);
+    }
+
+    /// What `choose_encoding`'s early exit rests on: the first
+    /// candidate that applies is the smallest one that does.
+    #[test]
+    fn candidates_are_size_sorted() {
+        let sizes: Vec<usize> = BdiEncoding::CANDIDATES.iter().map(|c| c.size_bytes()).collect();
+        assert!(sizes.windows(2).all(|w| w[0] <= w[1]), "not non-decreasing: {sizes:?}");
+        assert!(sizes.iter().all(|&s| s < BdiEncoding::Uncompressed.size_bytes()));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! fraction of blocks residing in the LLC" measurement (§2).
 
 use dg_compress::{bdi, dedup_savings};
-use dg_mem::{ApproxRegion, BlockData, ElemType, BLOCK_BYTES};
-use doppelganger::analysis::{map_savings, threshold_savings};
+use dg_mem::{ApproxRegion, BlockData, BLOCK_BYTES};
+use doppelganger::analysis::{envelope_key, map_savings, threshold_savings};
 use doppelganger::MapSpace;
 use std::collections::HashMap;
 
@@ -69,13 +69,6 @@ pub fn avg_dopp_bdi_savings(snapshots: &[Snapshot], space: MapSpace) -> f64 {
         let stored: u64 = reps.values().map(|b| bdi::compressed_size(b) as u64).sum();
         1.0 - stored as f64 / (snap.len() * BLOCK_BYTES) as f64
     })
-}
-
-/// Annotation-envelope identity, bitwise as in `doppelganger::analysis`
-/// (private there; `map_savings` must count exactly the pairs keyed
-/// here, which `dopp_bdi_keys_envelopes_like_map_savings` holds).
-fn envelope_key(region: &ApproxRegion) -> (ElemType, u64, u64) {
-    (region.ty, region.min.to_bits(), region.max.to_bits())
 }
 
 fn average(snapshots: &[Snapshot], f: impl Fn(&Snapshot) -> f64) -> f64 {
@@ -148,26 +141,6 @@ mod tests {
         let dopp = avg_map_savings(&snaps, MapSpace::new(14));
         let both = avg_dopp_bdi_savings(&snaps, MapSpace::new(14));
         assert!(both > dopp, "{both} vs {dopp}");
-    }
-
-    #[test]
-    fn dopp_bdi_keys_envelopes_like_map_savings() {
-        // One block under annotations that differ only in the sign of a
-        // zero bound, in type, or not at all (a moved copy, a point
-        // range twice): Dopp+BdI must keep one compressed copy per
-        // (envelope, map) pair `map_savings` counts.
-        let b = blk(5.0);
-        let at = |min, max| ApproxRegion::new(Addr(0), 1 << 20, ElemType::F32, min, max);
-        let moved = ApproxRegion { start: Addr(1 << 30), ..at(0.0, 100.0) };
-        let int = ApproxRegion { ty: ElemType::I32, ..at(5.0, 5.0) };
-        let regions = [at(-0.0, 100.0), at(0.0, 100.0), moved, at(5.0, 5.0), at(5.0, 5.0), int];
-        let snap: Snapshot = regions.iter().map(|&r| (b, r)).collect();
-        let space = MapSpace::new(14);
-        let kept = map_savings(snap.iter().map(|(b, r)| (b, r)), space).stored_blocks;
-        assert_eq!(kept, 4);
-        let stored = kept * bdi::compressed_size(&b);
-        let expected = 1.0 - stored as f64 / (snap.len() * BLOCK_BYTES) as f64;
-        assert_eq!(avg_dopp_bdi_savings(&[snap], space), expected);
     }
 
     #[test]

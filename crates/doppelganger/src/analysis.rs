@@ -41,9 +41,10 @@ impl SavingsReport {
 /// threshold) only within one envelope; where the region lives is not
 /// part of it. Bitwise, so a NaN-bounded annotation is one envelope
 /// and `-0.0` / `0.0` bounds are two.
-type EnvelopeKey = (ElemType, u64, u64);
+pub type EnvelopeKey = (ElemType, u64, u64);
 
-fn envelope_key(region: &ApproxRegion) -> EnvelopeKey {
+/// The [`EnvelopeKey`] of a region's annotation.
+pub fn envelope_key(region: &ApproxRegion) -> EnvelopeKey {
     (region.ty, region.min.to_bits(), region.max.to_bits())
 }
 
