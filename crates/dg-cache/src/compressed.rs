@@ -918,22 +918,6 @@ mod tests {
         assert!(ev.is_empty());
     }
 
-    /// `check_invariants` re-derives everything from the stored bytes:
-    /// a block altered behind the cache's back no longer matches the
-    /// footprint it was charged. (The round-trip assertion beside it
-    /// runs on the same bytes; only a lossy codec can trip that one.)
-    #[test]
-    #[should_panic(expected = "stale segment footprint")]
-    fn check_invariants_rejects_a_corrupted_stored_block() {
-        let mut c = tiny();
-        c.fill(BlockAddr(0), &blk(1.0), false, &mut |_| {});
-        c.check_invariants();
-        let (set, way, sub) = c.locate(BlockAddr(0)).unwrap();
-        let stored = c.sets[set].tags[way].as_mut().unwrap().blocks[sub].as_mut().unwrap();
-        stored.data = incompressible(9);
-        c.check_invariants();
-    }
-
     #[test]
     fn dirty_shrink_frees_segments() {
         let mut c = tiny();
