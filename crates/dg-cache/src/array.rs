@@ -38,23 +38,6 @@ pub struct TagArray<E, R: Replacer = Lru> {
     /// caller's predicate — so stale keys left behind by `invalidate`
     /// or key collisions can never change the result.
     keys: Vec<u64>,
-    /// Per-set key-generation stamp: bumped by every operation that can
-    /// change a set's entries (or hand out `&mut` access to them). A
-    /// set whose stamp is unchanged since the last keyed scan is
-    /// guaranteed to produce the same scan result, which lets
-    /// [`TagArray::find_keyed_cached`] skip the rescan entirely.
-    gens: Vec<u64>,
-    /// Memo of the most recent [`TagArray::find_keyed_cached`] scan:
-    /// `(set, key, gen at scan time, found way or -1)`. `memo_set ==
-    /// u32::MAX` means empty.
-    memo_set: u32,
-    memo_key: u64,
-    memo_gen: u64,
-    memo_way: i32,
-    /// Cached-scan counters: full scans run vs. scans skipped via the
-    /// generation memo (observability only; see `scan_counters`).
-    keyed_scans: u64,
-    keyed_scan_skips: u64,
 }
 
 impl<E> TagArray<E, Lru> {
@@ -74,24 +57,10 @@ impl<E, R: Replacer> TagArray<E, R> {
             occ: vec![0; geom.sets()],
             valid: 0,
             keys: vec![0; geom.entries()],
-            gens: vec![0; geom.sets()],
-            memo_set: u32::MAX,
-            memo_key: 0,
-            memo_gen: 0,
-            memo_way: -1,
-            keyed_scans: 0,
-            keyed_scan_skips: 0,
             geom,
             entries,
             policy,
         }
-    }
-
-    /// Record that `set`'s entries may have changed: any memoized scan
-    /// of the set is no longer trustworthy.
-    #[inline]
-    fn bump_gen(&mut self, set: usize) {
-        self.gens[set] += 1;
     }
 
     /// The array's geometry.
@@ -116,9 +85,6 @@ impl<E, R: Replacer> TagArray<E, R> {
     /// if the mutation models an access.
     pub fn get_mut(&mut self, set: usize, way: usize) -> Option<&mut E> {
         let slot = self.slot(set, way);
-        // The caller can rewrite the entry through this borrow, so any
-        // memoized scan of the set is conservatively invalidated.
-        self.bump_gen(set);
         self.entries[slot].as_mut()
     }
 
@@ -166,47 +132,11 @@ impl<E, R: Replacer> TagArray<E, R> {
         None
     }
 
-    /// [`TagArray::find_keyed`] with a single-entry scan memo.
-    ///
-    /// If the most recent cached scan was for this same `(set, key)` and
-    /// the set's generation stamp has not moved since, the memoized way
-    /// is returned without rescanning the key lane or re-running `pred`.
-    /// `pred` must therefore be pure with respect to the entries: for a
-    /// fixed set state it must always accept the same entries (true of
-    /// every tag-match predicate in the simulator). Mutating operations
-    /// (`insert*`, `invalidate`, `clear`, `get_mut`, `iter_mut`) bump
-    /// the stamp, so a stale memo can never be returned.
-    pub fn find_keyed_cached(
-        &mut self,
-        set: usize,
-        key: u64,
-        pred: impl Fn(&E) -> bool,
-    ) -> Option<usize> {
-        let gen = self.gens[set];
-        if self.memo_set == set as u32 && self.memo_key == key && self.memo_gen == gen {
-            self.keyed_scan_skips += 1;
-            return usize::try_from(self.memo_way).ok();
-        }
-        self.keyed_scans += 1;
-        let way = self.find_keyed(set, key, pred);
-        self.memo_set = set as u32;
-        self.memo_key = key;
-        self.memo_gen = gen;
-        self.memo_way = way.map_or(-1, |w| w as i32);
-        way
-    }
-
-    /// Cached-scan counters: `(full scans run, scans skipped via memo)`.
-    pub fn scan_counters(&self) -> (u64, u64) {
-        (self.keyed_scans, self.keyed_scan_skips)
-    }
-
     /// Insert `entry` at an explicit `(set, way)` and record `key` in
     /// the key lane for [`TagArray::find_keyed`], returning the
     /// displaced entry (if any).
     pub fn insert_at_keyed(&mut self, set: usize, way: usize, key: u64, entry: E) -> Option<E> {
         let slot = self.slot(set, way);
-        self.bump_gen(set);
         self.keys[slot] = key;
         let old = self.entries[slot].replace(entry);
         if old.is_none() {
@@ -246,7 +176,6 @@ impl<E, R: Replacer> TagArray<E, R> {
     /// displaced entry (if any).
     pub fn insert_at(&mut self, set: usize, way: usize, entry: E) -> Option<E> {
         let slot = self.slot(set, way);
-        self.bump_gen(set);
         let old = self.entries[slot].replace(entry);
         if old.is_none() {
             self.occ[set] += 1;
@@ -259,7 +188,6 @@ impl<E, R: Replacer> TagArray<E, R> {
     /// Invalidate `(set, way)`, returning the removed entry.
     pub fn invalidate(&mut self, set: usize, way: usize) -> Option<E> {
         let slot = self.slot(set, way);
-        self.bump_gen(set);
         let old = self.entries[slot].take();
         if old.is_some() {
             self.occ[set] -= 1;
@@ -294,8 +222,6 @@ impl<E, R: Replacer> TagArray<E, R> {
 
     /// Iterate mutably over all valid entries as `(set, way, &mut entry)`.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, usize, &mut E)> {
-        // Every set's entries are reachable through this iterator.
-        self.gens.iter_mut().for_each(|g| *g += 1);
         let ways = self.geom.ways();
         self.entries
             .iter_mut()
@@ -309,7 +235,6 @@ impl<E, R: Replacer> TagArray<E, R> {
             *e = None;
         }
         self.occ.iter_mut().for_each(|o| *o = 0);
-        self.gens.iter_mut().for_each(|g| *g += 1);
         self.valid = 0;
     }
 }
@@ -426,31 +351,5 @@ mod tests {
         assert_eq!(a.find_keyed(0, 7, |&e| e == 71), None);
         assert_eq!(a.find_keyed(0, 7, |_| true), Some(3));
         assert_eq!(a.find_keyed(0, 8, |_| true), None);
-    }
-
-    #[test]
-    fn cached_scan_skips_until_set_mutates() {
-        let mut a = small();
-        a.insert_at_keyed(0, 0, 7, 70);
-        // First cached scan runs in full and memoizes the hit.
-        assert_eq!(a.find_keyed_cached(0, 7, |&e| e == 70), Some(0));
-        assert_eq!(a.scan_counters(), (1, 0));
-        // Repeat on the unchanged set: memo hit, no rescan.
-        assert_eq!(a.find_keyed_cached(0, 7, |&e| e == 70), Some(0));
-        assert_eq!(a.scan_counters(), (1, 1));
-        // A different key on the same set must rescan.
-        assert_eq!(a.find_keyed_cached(0, 9, |_| true), None);
-        assert_eq!(a.scan_counters(), (2, 1));
-        // Misses memoize too.
-        assert_eq!(a.find_keyed_cached(0, 9, |_| true), None);
-        assert_eq!(a.scan_counters(), (2, 2));
-        // Any mutation of the set invalidates the memo.
-        assert_eq!(a.find_keyed_cached(0, 7, |&e| e == 70), Some(0));
-        *a.get_mut(0, 0).unwrap() = 71;
-        assert_eq!(a.find_keyed_cached(0, 7, |&e| e == 71), Some(0));
-        assert_eq!(a.scan_counters(), (4, 2));
-        a.invalidate(0, 0);
-        assert_eq!(a.find_keyed_cached(0, 7, |_| true), None);
-        assert_eq!(a.scan_counters(), (5, 2));
     }
 }

@@ -20,14 +20,14 @@ use std::fmt;
 /// assert_eq!(stats.max, 3.0);
 /// assert_eq!(stats.range(), 3.0);
 /// ```
-#[derive(Clone, Copy, Hash)]
+#[derive(Clone, Copy)]
 pub struct BlockData {
     bytes: [u8; BLOCK_BYTES],
 }
 
 // Byte equality through the SIMD lane: block compares sit on the fill,
 // writeback and map-memo paths. Exact equality is lane-independent, and
-// the derived `Hash` remains consistent (equal blocks hash equally).
+// `Hash` below is over the same bytes (equal blocks hash equally).
 impl PartialEq for BlockData {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
@@ -36,6 +36,13 @@ impl PartialEq for BlockData {
 }
 
 impl Eq for BlockData {}
+
+impl std::hash::Hash for BlockData {
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.bytes.hash(state);
+    }
+}
 
 impl BlockData {
     /// A block of all-zero bytes.

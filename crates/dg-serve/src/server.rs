@@ -1,5 +1,6 @@
 //! The sharded concurrent server.
 
+use std::cell::Cell;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -13,6 +14,27 @@ use crate::config::ServeConfig;
 use crate::request::{Request, Response};
 use crate::shard::ShardState;
 use crate::stats::ServeStats;
+
+/// Working memory of [`Server::run_batch`], kept per calling thread so
+/// that a batch neither allocates it nor page-faults it in again
+/// (built fresh, a 4096-request batch's vectors went back to the OS on
+/// `free` and cost ~100 minor faults on the next batch; DESIGN.md §8).
+#[derive(Default)]
+struct BatchScratch {
+    /// Per shard: request count, then start, then end of its run in
+    /// `order` as the counting sort advances.
+    ends: Vec<u32>,
+    /// Request indices grouped by shard, submission order within each.
+    order: Vec<u32>,
+    /// Inverse of `order`: where request `i`'s answer sits in `answers`.
+    pos: Vec<u32>,
+    /// The answers in `order` order; each shard job owns one slice.
+    answers: Vec<Response>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<BatchScratch> = Cell::new(BatchScratch::default());
+}
 
 /// An in-process key → block similarity-cache server.
 ///
@@ -100,50 +122,91 @@ impl Server {
 
     /// Serve a batch, returning responses in submission order.
     ///
-    /// Requests are partitioned by shard (preserving per-shard
-    /// submission order) and the non-empty partitions run as pool jobs.
-    /// With one worker the pool degrades to the inline serial path, so
-    /// the 1-thread run is the reference the parallel runs must match.
+    /// Requests are partitioned by shard with one stable counting sort
+    /// (so each shard keeps its submission suborder), every touched
+    /// shard runs as one pool job that answers into its own slice of
+    /// one buffer, and the answers are gathered back into submission
+    /// order. With one worker the pool degrades to the inline serial
+    /// path, so the 1-thread run is the reference the parallel runs
+    /// must match. The index vectors and the buffer belong to the
+    /// calling thread and are reused from batch to batch: a call
+    /// allocates nothing batch-sized but the vector it returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch holds more than `u32::MAX` requests.
     pub fn run_batch(&self, requests: &[Request]) -> Vec<Response> {
         let _batch_span = span("serve.batch", 0);
+        assert!(u32::try_from(requests.len()).is_ok(), "batch positions are 32-bit");
+        // A nested call on this thread finds the cell empty and works
+        // on fresh vectors; nobody ever waits for the scratch.
+        let mut scratch = SCRATCH.take();
+        let BatchScratch { ends, order, pos, answers } = &mut scratch;
+        let n = requests.len();
 
-        // Partition request indices by shard, preserving order.
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); self.cfg.shards];
-        for (i, req) in requests.iter().enumerate() {
-            buckets[self.shard_of(req.key())].push(i as u32);
+        // Pass 1: each request's shard (parked in `pos`) and the shard
+        // sizes; then `ends[s]` = where shard `s` starts in `order`.
+        ends.clear();
+        ends.resize(self.cfg.shards, 0);
+        pos.clear();
+        pos.extend(requests.iter().map(|req| {
+            let sid = self.shard_of(req.key());
+            ends[sid] += 1;
+            sid as u32
+        }));
+        let mut start = 0u32;
+        for e in ends.iter_mut() {
+            let count = *e;
+            *e = start;
+            start += count;
+        }
+        // Pass 2: `order[k]` = the request served k-th, `pos[i]` = the
+        // k of request i. Every `ends[s]` ends up at its shard's end.
+        order.resize(n, 0);
+        for (i, p) in pos.iter_mut().enumerate() {
+            let next = &mut ends[*p as usize];
+            order[*next as usize] = i as u32;
+            *p = *next;
+            *next += 1;
         }
 
-        let jobs: Vec<_> = buckets
-            .into_iter()
+        // Stale answers of an earlier batch are left in place: every
+        // slot belongs to exactly one job, which overwrites it.
+        answers.resize(n, Response::Miss);
+        let (mut idx_rest, mut out_rest) = (&order[..], &mut answers[..]);
+        let mut shard_start = 0usize;
+        let jobs: Vec<_> = ends
+            .iter()
             .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .map(|(sid, idxs)| {
-                move || {
+            .filter_map(|(sid, &end)| {
+                let len = end as usize - shard_start;
+                shard_start = end as usize;
+                if len == 0 {
+                    return None;
+                }
+                let (idxs, idx_tail) = idx_rest.split_at(len);
+                let (out, out_tail) = std::mem::take(&mut out_rest).split_at_mut(len);
+                (idx_rest, out_rest) = (idx_tail, out_tail);
+                Some(move || {
                     let _shard_span = span("serve.shard", sid as u64);
                     let metrics = enabled(Level::Metrics);
                     let t0 = metrics.then(Instant::now);
                     let mut shard = self.shards[sid].lock().unwrap();
-                    let out: Vec<(u32, Response)> = idxs
-                        .iter()
-                        .map(|&i| (i, shard.apply(requests[i as usize], &self.region)))
-                        .collect();
+                    for (slot, &i) in out.iter_mut().zip(idxs) {
+                        *slot = shard.apply(requests[i as usize], &self.region);
+                    }
                     shard.batches += 1;
                     if let Some(t0) = t0 {
                         shard.batch_ns.record(t0.elapsed().as_nanos() as u64);
                     }
-                    out
-                }
+                })
             })
             .collect();
+        self.pool.run(jobs);
 
-        let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
-        for chunk in self.pool.run(jobs) {
-            for (i, resp) in chunk {
-                debug_assert!(responses[i as usize].is_none(), "request {i} served twice");
-                responses[i as usize] = Some(resp);
-            }
-        }
-        responses.into_iter().map(|r| r.expect("every request served")).collect()
+        let responses = pos.iter().map(|&k| answers[k as usize]).collect();
+        SCRATCH.set(scratch);
+        responses
     }
 
     /// Aggregate server-level counters across shards.

@@ -70,3 +70,36 @@ fn batch_equals_single_request_stream() {
     assert_eq!(from_batch, from_singles);
     assert_eq!(batched.stats(), singles.stats());
 }
+
+#[test]
+fn one_shard_and_empty_batches_match_the_single_request_stream() {
+    // The partition's edge cases, each after a larger batch so that it
+    // runs on working memory a longer batch left behind: every request
+    // on one shard (one job), no request at all (no job), then a full
+    // batch again.
+    let mut full = workload_batches(0x51DE, 2, 2048);
+    let router = server_with_workers(1);
+    let last = router.config().shards - 1;
+    let one_shard: Vec<Request> =
+        full[0].iter().copied().filter(|r| router.shard_of(r.key()) == last).collect();
+    assert!(!one_shard.is_empty() && one_shard.len() < full[0].len());
+    let batches = [full.remove(0), one_shard, Vec::new(), full.remove(0)];
+
+    let singles = server_with_workers(1);
+    let expected: Vec<Vec<_>> =
+        batches.iter().map(|b| b.iter().map(|&r| singles.execute(r)).collect()).collect();
+    for workers in [1, 2, 4] {
+        let server = server_with_workers(workers);
+        let mut chunks = Vec::new();
+        for (batch, want) in batches.iter().zip(&expected) {
+            assert_eq!(&server.run_batch(batch), want, "{workers} worker(s)");
+            chunks.push(server.batches_served());
+        }
+        assert_eq!(chunks[1] - chunks[0], 1, "one touched shard is one chunk");
+        assert_eq!(chunks[2], chunks[1], "an empty batch is no chunk");
+        assert_eq!(server.stats(), singles.stats());
+        assert_eq!(server.shard_stats(), singles.shard_stats());
+        assert_eq!(server.residency(), singles.residency());
+        server.check_invariants();
+    }
+}

@@ -107,6 +107,15 @@ pub struct DoppelgangerCache {
     /// statistics are identical with or without the hints.
     tag_mru: Vec<u32>,
     data_mru: Vec<u32>,
+    /// Per-tag-slot direct link to the data entry the tag is linked to,
+    /// set wherever a tag joins a sharing list or gets its private
+    /// entry. For an approximate tag it always equals what the MTag scan
+    /// of the tag's map would find (`check_invariants` holds it to
+    /// that), because a data entry never changes way while a tag is
+    /// linked to it. A simulator shortcut only: the hardware's MTag
+    /// lookup on a hit is still counted in `mtag_accesses`. Slots of
+    /// invalid tags hold stale values and are never read.
+    links: Vec<DataId>,
     /// Per-tag-slot memo of the last `(addr, contents, map)` for which
     /// `map_block` ran, so rewrites of unchanged bytes reuse the map
     /// instead of recomputing it. Purely a simulator shortcut: a memo
@@ -149,6 +158,7 @@ impl DoppelgangerCache {
             data: TagArray::new(data_geom),
             tag_mru: vec![0; tag_geom.sets()],
             data_mru: vec![0; data_geom.sets()],
+            links: vec![DataId { set: 0, way: 0 }; tag_geom.entries()],
             map_memo: vec![None; tag_geom.entries()],
             memo_enabled: true,
             map_hints: Vec::new(),
@@ -305,7 +315,7 @@ impl DoppelgangerCache {
         if let Some(way) = self.predict_tag(set, tag) {
             return Some(TagId { set: set as u32, way: way as u32 });
         }
-        let way = self.tags.find_keyed_cached(set, tag, |e| e.tag == tag)?;
+        let way = self.tags.find_keyed(set, tag, |e| e.tag == tag)?;
         self.tag_mru[set] = way as u32;
         Some(TagId { set: set as u32, way: way as u32 })
     }
@@ -322,22 +332,21 @@ impl DoppelgangerCache {
         }
     }
 
-    /// Locate the data entry an approximate `map` refers to, if present
-    /// (shared access; the MRU hint is probed read-only).
+    /// Locate the data entry an approximate `map` refers to by the MTag
+    /// set scan alone, no MRU hint: the reference `check_invariants`
+    /// holds every tag's link to.
     fn locate_data(&self, map: MapValue) -> Option<DataId> {
         let bits = self.mtag_index_bits();
         let set = map.index(bits);
         let mtag = map.tag(bits);
-        self.predict_data(set, mtag)
-            .or_else(|| {
-                self.data
-                    .find_keyed(set, mtag, |e| matches!(e.kind, DataKind::Approx { map_tag } if map_tag == mtag))
-            })
+        self.data
+            .find_keyed(set, mtag, |e| matches!(e.kind, DataKind::Approx { map_tag } if map_tag == mtag))
             .map(|way| DataId { set: set as u32, way: way as u32 })
     }
 
-    /// Locate the data entry for `map`, refreshing the MRU way hint on
-    /// a hit — the per-access variant of [`Self::locate_data`].
+    /// The MTag lookup of an insertion or a moving write: locate the
+    /// data entry for `map`, MRU way hint first, refreshing it on a
+    /// scan hit.
     #[inline]
     fn locate_data_mut(&mut self, map: MapValue) -> Option<DataId> {
         let bits = self.mtag_index_bits();
@@ -348,35 +357,23 @@ impl DoppelgangerCache {
         }
         let way = self
             .data
-            .find_keyed_cached(set, mtag, |e| matches!(e.kind, DataKind::Approx { map_tag } if map_tag == mtag))?;
+            .find_keyed(set, mtag, |e| matches!(e.kind, DataKind::Approx { map_tag } if map_tag == mtag))?;
         self.data_mru[set] = way as u32;
         Some(DataId { set: set as u32, way: way as u32 })
     }
 
-    /// The data entry a resident tag refers to.
+    /// The data entry a resident tag is linked to: its direct link,
+    /// not a second MTag scan.
+    #[inline]
     fn data_of_tag(&self, id: TagId) -> DataId {
-        match self.tag_at(id).kind {
-            TagKind::Approx(map) => self
-                .locate_data(map)
-                .expect("invariant: a valid tag's map always locates a data entry"),
-            TagKind::Precise(did) => did,
-        }
+        debug_assert!(self.tags.get(id.set as usize, id.way as usize).is_some(), "link of an invalid tag");
+        self.links[self.tag_slot(id)]
     }
 
-    /// [`Self::data_of_tag`] with MRU-hint refresh (per-access paths).
+    /// The flat per-tag-slot index (`links`, `map_memo`) of a tag
+    /// position.
     #[inline]
-    fn data_of_tag_mut(&mut self, id: TagId) -> DataId {
-        match self.tag_at(id).kind {
-            TagKind::Approx(map) => self
-                .locate_data_mut(map)
-                .expect("invariant: a valid tag's map always locates a data entry"),
-            TagKind::Precise(did) => did,
-        }
-    }
-
-    /// The flat `map_memo` slot for a tag position.
-    #[inline]
-    fn memo_slot(&self, id: TagId) -> usize {
+    fn tag_slot(&self, id: TagId) -> usize {
         id.set as usize * self.tag_geom.ways() + id.way as usize
     }
 
@@ -387,7 +384,7 @@ impl DoppelgangerCache {
     #[inline]
     fn map_block_memo(&mut self, id: TagId, addr: BlockAddr, block: &BlockData, region: &ApproxRegion) -> MapValue {
         self.stats.map_generations += 1;
-        let slot = self.memo_slot(id);
+        let slot = self.tag_slot(id);
         if self.memo_enabled {
             if let Some((a, b, m)) = &self.map_memo[slot] {
                 if *a == addr && b == block {
@@ -592,7 +589,9 @@ impl DoppelgangerCache {
         };
         self.stats.hits += 1;
         self.tags.touch(tid.set as usize, tid.way as usize);
-        let did = self.data_of_tag_mut(tid);
+        // The hardware reaches the data through an MTag lookup of the
+        // tag's map (§3.2): counted here, answered by the link.
+        let did = self.data_of_tag(tid);
         if !self.tag_at(tid).is_precise() {
             self.stats.mtag_accesses += 1;
         }
@@ -646,8 +645,8 @@ impl DoppelgangerCache {
         if let Some(d) = displaced_tag {
             emit(d);
         }
+        let slot = self.tag_slot(tid);
         if self.memo_enabled {
-            let slot = self.memo_slot(tid);
             self.map_memo[slot] = Some((addr, block, map));
         }
         self.tag_mru[tid.set as usize] = tid.way;
@@ -659,6 +658,7 @@ impl DoppelgangerCache {
             // Similar data block exists: link the new tag at the head.
             self.stats.shared_insertions += 1;
             self.tags.insert_at_keyed(tid.set as usize, tid.way as usize, entry_tag, TagEntry::approx(entry_tag, map));
+            self.links[slot] = did;
             self.push_head(tid, did);
             if enabled(Level::Metrics) {
                 self.record_chain_depth(did);
@@ -679,6 +679,7 @@ impl DoppelgangerCache {
             );
             self.data_mru[did.set as usize] = did.way;
             self.tags.insert_at_keyed(tid.set as usize, tid.way as usize, entry_tag, TagEntry::approx(entry_tag, map));
+            self.links[slot] = did;
             false
         }
     }
@@ -718,7 +719,7 @@ impl DoppelgangerCache {
         if let Some(d) = displaced_tag {
             emit(d);
         }
-        let slot = self.memo_slot(tid);
+        let slot = self.tag_slot(tid);
         self.map_memo[slot] = None;
         self.tag_mru[tid.set as usize] = tid.way;
 
@@ -735,6 +736,7 @@ impl DoppelgangerCache {
         );
         let entry_tag = self.tag_geom.tag_of(addr);
         self.tags.insert_at_keyed(tid.set as usize, tid.way as usize, entry_tag, TagEntry::precise(entry_tag, did));
+        self.links[slot] = did;
     }
 
     /// Handle a write / L2 writeback of a full block (§3.4).
@@ -772,7 +774,7 @@ impl DoppelgangerCache {
         self.tags.touch(tid.set as usize, tid.way as usize);
 
         if self.tag_at(tid).is_precise() {
-            let did = self.data_of_tag_mut(tid);
+            let did = self.data_of_tag(tid);
             self.stats.data_accesses += 1;
             self.data.touch(did.set as usize, did.way as usize);
             self.data_at_mut(did).data = block;
@@ -804,6 +806,7 @@ impl DoppelgangerCache {
 
         self.stats.mtag_accesses += 1;
         let bits = self.mtag_index_bits();
+        let slot = self.tag_slot(tid);
         if let Some(did) = self.locate_data_mut(new_map) {
             // Join the existing list; the write's modifications are
             // effectively ignored (the representative stands in).
@@ -812,6 +815,7 @@ impl DoppelgangerCache {
                 TagKind::Precise(_) => unreachable!("checked approx above"),
             }
             self.tag_at_mut(tid).dirty = true;
+            self.links[slot] = did;
             self.push_head(tid, did);
             self.data.touch(did.set as usize, did.way as usize);
             WriteStatus::Moved { joined_existing: true }
@@ -835,6 +839,7 @@ impl DoppelgangerCache {
             t.dirty = true;
             t.prev = None;
             t.next = None;
+            self.links[slot] = did;
             WriteStatus::Moved { joined_existing: false }
         }
     }
@@ -946,9 +951,11 @@ impl DoppelgangerCache {
     /// the first violation. Used by tests (including property tests).
     ///
     /// Invariants:
-    /// 1. every valid approximate tag's map locates a valid data entry;
+    /// 1. every valid approximate tag's map locates a valid data entry
+    ///    (by the MTag scan), and the tag's direct link equals it;
     /// 2. every valid precise tag's pointer hits a precise entry with
-    ///    the matching address and a single-member list;
+    ///    the matching address and a single-member list, and the tag's
+    ///    direct link equals the pointer;
     /// 3. every data entry's list is non-empty, doubly linked
     ///    consistently, cycle-free, headed by a tag with `prev == None`;
     /// 4. all list members carry the entry's map;
@@ -970,9 +977,13 @@ impl DoppelgangerCache {
                         let bits = self.mtag_index_bits();
                         assert_eq!(m.tag(bits), *map_tag, "member map tag mismatch");
                         assert_eq!(m.index(bits), set, "member map index mismatch");
+                        let scanned = self.locate_data(*m);
+                        assert_eq!(scanned, Some(did), "MTag scan of {id:?}'s map misses its entry");
+                        assert_eq!(Some(self.data_of_tag(id)), scanned, "link of {id:?} differs from the MTag scan");
                     }
                     (DataKind::Precise { addr }, TagKind::Precise(ptr)) => {
                         assert_eq!(*ptr, did, "precise pointer mismatch");
+                        assert_eq!(self.data_of_tag(id), did, "link of precise {id:?} differs from its pointer");
                         assert_eq!(members.len(), 1, "precise entry shared");
                         assert_eq!(self.block_addr_of_tag(id), *addr);
                     }

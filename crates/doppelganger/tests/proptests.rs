@@ -5,12 +5,25 @@ use dg_check::{any, props, vec, SplitMix64};
 use dg_mem::{Addr, ApproxRegion, BlockAddr, BlockData, ElemType};
 use doppelganger::analysis::{threshold_savings, SavingsReport};
 use doppelganger::{
-    DoppelgangerCache, DoppelgangerConfig, HardwareCost, MapHash, MapSpace, WriteStatus,
+    DoppelgangerCache, DoppelgangerConfig, HardwareCost, MapHash, MapSpace, MapValue, WriteStatus,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 fn region(min: f64, max: f64) -> ApproxRegion {
     ApproxRegion::new(Addr(0), 1 << 24, ElemType::F32, min, max)
+}
+
+/// A cache small enough that random streams over 48 addresses and ten
+/// bins evict tags, evict data entries and move tags between lists.
+fn tiny_cache(unified: bool) -> DoppelgangerConfig {
+    DoppelgangerConfig {
+        tag_entries: 32,
+        tag_ways: 4,
+        data_entries: 8,
+        data_ways: 2,
+        map_space: MapSpace::new(6),
+        unified,
+    }
 }
 
 /// The all-pairs greedy scan `threshold_savings` was before it got its
@@ -199,14 +212,7 @@ props! {
     fn map_memo_matches_recompute(
         ops in vec((0u8..4, 0u64..48, 0u16..40), 1..200),
     ) {
-        let cfg = DoppelgangerConfig {
-            tag_entries: 32,
-            tag_ways: 4,
-            data_entries: 8,
-            data_ways: 2,
-            map_space: MapSpace::new(6),
-            unified: false,
-        };
+        let cfg = tiny_cache(false);
         let r = region(0.0, 100.0);
         let mut memo = DoppelgangerCache::new(cfg);
         let mut plain = DoppelgangerCache::new(cfg);
@@ -253,6 +259,70 @@ props! {
         bm.sort_unstable_by_key(|&(a, ..)| a);
         bp.sort_unstable_by_key(|&(a, ..)| a);
         assert_eq!(bm, bp);
+    }
+
+    /// Every resident tag's direct link leads where the MTag scan of
+    /// its map leads, through random inserts, writes that keep the map
+    /// (jitter inside a bin), join an existing list or allocate a new
+    /// entry, reads and invalidations, with precise blocks mixed in
+    /// under the unified configuration. `check_invariants` holds the
+    /// link to the scan after every operation; from outside, a block
+    /// must read back a representative of the bin it was last put in
+    /// (a stale link reads another bin's entry, or a freed way), and a
+    /// precise block its exact bytes.
+    fn links_follow_the_mtag_scan(
+        ops in vec((0u8..8, 0u64..48, 0u16..40), 1..200),
+        unified in any::<bool>(),
+    ) {
+        let cfg = tiny_cache(unified);
+        let r = region(0.0, 100.0);
+        let mut cache = DoppelgangerCache::new(cfg);
+        let mut maps: HashMap<u64, MapValue> = HashMap::new();
+        let mut exact: HashMap<u64, BlockData> = HashMap::new();
+        for (op, a, v) in ops {
+            let addr = BlockAddr(a);
+            let precise = unified && a >= 32;
+            // Ten bins 2.5 apart, four byte-distinct values in each.
+            let b = BlockData::from_values(
+                ElemType::F32,
+                &[f64::from(v / 4) * 2.5 + f64::from(v % 4) * 0.01; 16],
+            );
+            let mut gone = Vec::new();
+            match op {
+                0..=4 => {
+                    if cache.contains(addr) {
+                        let region = (!precise).then_some(&r);
+                        let status = cache.write_with(addr, b, region, &mut |d| gone.push(d));
+                        assert_ne!(status, WriteStatus::NotResident);
+                    } else if precise {
+                        cache.insert_precise_with(addr, b, &mut |d| gone.push(d));
+                    } else {
+                        cache.insert_approx_with(addr, b, &r, &mut |d| gone.push(d));
+                    }
+                    if precise {
+                        exact.insert(a, b);
+                    } else {
+                        maps.insert(a, cfg.map_space.map_block(&b, &r));
+                    }
+                }
+                5 | 6 => {
+                    assert_eq!(cache.read(addr), cache.peek(addr));
+                }
+                _ => gone.extend(cache.invalidate(addr)),
+            }
+            for d in gone {
+                assert!(maps.remove(&d.addr.0).is_some() || exact.remove(&d.addr.0).is_some());
+            }
+            cache.check_invariants();
+            assert_eq!(cache.resident_tags(), maps.len() + exact.len());
+            for (&a, &map) in &maps {
+                let rep = cache.peek(BlockAddr(a)).expect("tracked block is resident");
+                assert_eq!(cfg.map_space.map_block(&rep, &r), map, "block {a} reads another bin");
+            }
+            for (&a, bytes) in &exact {
+                assert_eq!(cache.peek(BlockAddr(a)), Some(*bytes), "precise block {a}");
+            }
+        }
     }
 
     /// The indexed `threshold_savings` reports exactly what the

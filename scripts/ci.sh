@@ -2,6 +2,7 @@
 # CI entry point: one command that gates every merge.
 #
 # Thin wrapper over scripts/verify.sh (tier-1 build + tests +
+# cargo clippy on the workspace, exit status only +
 # benchmark smoke run checked against benchmark/golden/* +
 # hermeticity + differential oracle on both the SIMD and scalar lanes +
 # byte-diff of deterministic exports across DG_SIMD lanes +

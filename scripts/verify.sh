@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline build + tests, the benchmark's smoke run
-# against its golden digests, plus a hermeticity check asserting the
-# dependency graph contains only in-repo workspace crates (see
-# README.md, "Hermetic build & determinism").
+# Tier-1 verification: offline build + tests, clippy's deny-level lints,
+# the benchmark's smoke run against its golden digests, plus a
+# hermeticity check asserting the dependency graph contains only
+# in-repo workspace crates (see README.md, "Hermetic build &
+# determinism").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +12,12 @@ cargo build --release --offline --locked
 
 echo "== test (offline) =="
 cargo test -q --offline --workspace
+
+echo "== lint: cargo clippy (exit status only) =="
+# Deny-level lints fail the stage; warnings are printed and not judged
+# (no -D warnings).
+cargo clippy --offline --workspace
+echo "ok: clippy reaches and passes every workspace crate"
 
 echo "== benchmark smoke: benchmark/run.sh --smoke =="
 # The repository benchmark at ~1/20 size with verification: every
