@@ -66,3 +66,36 @@ fn parallel_sweep_matches_single_worker_and_serial_runs() {
         .collect();
     assert_bit_identical(parallel.results("compressed-sb2"), &direct_comp);
 }
+
+/// `dg_sample::select` is a pure function of `(profile, k, seed)`; its
+/// medoid update may skip work but never change a winner. Pinned on the
+/// medium suite's kmeans (317 intervals): the values are the ones the
+/// exhaustive update produced.
+#[test]
+fn medium_kmeans_selection_is_pinned() {
+    use dg_bench::experiments::{suite_with_seed, SEED};
+    use dg_bench::sampled::sampling_params;
+    let scale = Scale::Medium;
+    let suite = suite_with_seed(scale, SEED);
+    let kmeans = suite.iter().find(|k| k.name() == "kmeans").expect("kmeans is in the suite");
+    let mut source = dg_workloads::KernelSource::new(kmeans.as_ref(), scale.threads(), 4);
+    let profile = dg_sample::profile(&mut source, sampling_params(scale).0);
+    assert_eq!(profile.intervals.len(), 317);
+    let picked: Vec<(usize, u64, usize)> = dg_sample::select(&profile, 7, SEED)
+        .intervals
+        .iter()
+        .map(|s| (s.index, s.weight.to_bits(), s.cluster_size))
+        .collect();
+    assert_eq!(
+        picked,
+        [
+            (1, 4597351217089795379, 72),
+            (72, 4569420375236765741, 1),
+            (73, 4590119885196004898, 24),
+            (81, 4604227375511395758, 213),
+            (158, 4576609086313893410, 3),
+            (230, 4576609086313893410, 3),
+            (316, 4569420375236765741, 1),
+        ]
+    );
+}

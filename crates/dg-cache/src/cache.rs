@@ -146,14 +146,21 @@ impl<R: Replacer> ConventionalCache<R> {
 
     /// Locate `addr`, refreshing the MRU way hint on a hit. No stats or
     /// LRU update. Returns `(set, way)` hits so callers skip recomputing
-    /// the set index.
-    #[inline]
+    /// the set index. The MRU-way compare is inline in every caller;
+    /// the set scan is one call away.
+    #[inline(always)]
     fn locate_mut(&mut self, addr: BlockAddr) -> Option<(usize, usize)> {
         let set = self.array.geometry().set_of(addr);
         let tag = self.array.geometry().tag_of(addr);
         if let Some(way) = self.predict(set, tag) {
             return Some((set, way));
         }
+        Some((set, self.scan_set(set, tag)?))
+    }
+
+    /// The MRU-hint miss of [`Self::locate_mut`].
+    #[inline(never)]
+    fn scan_set(&mut self, set: usize, tag: u64) -> Option<usize> {
         // Plain scan, not the generation-stamped memo: the private
         // levels probe each block exactly once per access
         // (probe-then-fill, never probe-twice), so a memo never hits
@@ -162,7 +169,22 @@ impl<R: Replacer> ConventionalCache<R> {
         // Doppelgänger locate paths.
         let way = self.array.find_keyed(set, tag, |l| l.tag == tag)?;
         self.mru[set] = way as u32;
-        Some((set, way))
+        Some(way)
+    }
+
+    /// Locate `addr` as an access: a hit touches LRU and counts, a miss
+    /// counts — the probe every read and write entry point shares.
+    #[inline(always)]
+    fn probe(&mut self, addr: BlockAddr) -> Option<(usize, usize)> {
+        let found = self.locate_mut(addr);
+        match found {
+            Some((set, way)) => {
+                self.array.touch(set, way);
+                self.stats.record_hit();
+            }
+            None => self.stats.record_miss(),
+        }
+        found
     }
 
     /// Whether `addr` is present (no stats or LRU update).
@@ -173,37 +195,24 @@ impl<R: Replacer> ConventionalCache<R> {
     /// Read `addr`: on a hit, returns the block and updates LRU/stats;
     /// on a miss, records the miss and returns `None`.
     pub fn read(&mut self, addr: BlockAddr) -> Option<BlockData> {
-        match self.locate_mut(addr) {
-            Some((set, way)) => {
-                self.array.touch(set, way);
-                self.stats.record_hit();
-                Some(self.data[self.slot(set, way)])
-            }
-            None => {
-                self.stats.record_miss();
-                None
-            }
-        }
+        let (set, way) = self.probe(addr)?;
+        Some(self.data[self.slot(set, way)])
     }
 
     /// Read bytes `[offset, offset+buf.len())` of a resident block into
     /// `buf`: on a hit, copies the bytes and updates LRU/stats exactly
     /// like [`Self::read`]; on a miss, records the miss and returns
     /// `false`. The hot path of every simulated load — avoids copying
-    /// the full 64-byte block out of the array.
+    /// the full 64-byte block out of the array, and is always inlined
+    /// so a fixed-size `buf` is moved at its width.
+    #[inline(always)]
     pub fn read_bytes(&mut self, addr: BlockAddr, offset: usize, buf: &mut [u8]) -> bool {
-        match self.locate_mut(addr) {
+        match self.probe(addr) {
             Some((set, way)) => {
-                self.array.touch(set, way);
-                self.stats.record_hit();
-                let data = &self.data[self.slot(set, way)];
-                buf.copy_from_slice(&data.as_bytes()[offset..offset + buf.len()]);
+                self.data[self.slot(set, way)].read_at(offset, buf);
                 true
             }
-            None => {
-                self.stats.record_miss();
-                false
-            }
+            None => false,
         }
     }
 
@@ -211,19 +220,14 @@ impl<R: Replacer> ConventionalCache<R> {
     /// the dirty bit and returns `true`; on a miss returns `false`
     /// (write-allocate is composed by the caller via [`Self::fill`]).
     pub fn write(&mut self, addr: BlockAddr, data: BlockData) -> bool {
-        match self.locate_mut(addr) {
+        match self.probe(addr) {
             Some((set, way)) => {
-                self.array.touch(set, way);
-                self.stats.record_hit();
                 self.array.get_mut(set, way).expect("located way is valid").dirty = true;
                 let slot = self.slot(set, way);
                 self.data[slot].copy_from(&data);
                 true
             }
-            None => {
-                self.stats.record_miss();
-                false
-            }
+            None => false,
         }
     }
 
@@ -232,10 +236,7 @@ impl<R: Replacer> ConventionalCache<R> {
     pub fn write_bytes(&mut self, addr: BlockAddr, offset: usize, bytes: &[u8]) -> bool {
         match self.locate_mut(addr) {
             Some((set, way)) => {
-                self.array.touch(set, way);
-                self.array.get_mut(set, way).expect("located way is valid").dirty = true;
-                let slot = self.slot(set, way);
-                self.data[slot].as_bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
+                self.write_at(set, way, addr, offset, bytes);
                 true
             }
             None => false,
@@ -248,24 +249,18 @@ impl<R: Replacer> ConventionalCache<R> {
     /// the miss and returns `None`. Splitting probe from write lets the
     /// caller run coherence actions in between without re-scanning the
     /// set (and skip them entirely when the dirty bit proves ownership).
+    #[inline(always)]
     pub fn write_probe(&mut self, addr: BlockAddr) -> Option<(usize, usize, bool)> {
-        match self.locate_mut(addr) {
-            Some((set, way)) => {
-                self.array.touch(set, way);
-                self.stats.record_hit();
-                let dirty = self.array.get(set, way).expect("located way is valid").dirty;
-                Some((set, way, dirty))
-            }
-            None => {
-                self.stats.record_miss();
-                None
-            }
-        }
+        let (set, way) = self.probe(addr)?;
+        let dirty = self.array.get(set, way).expect("located way is valid").dirty;
+        Some((set, way, dirty))
     }
 
     /// Update bytes of the line at `(set, way)` — previously located by
-    /// [`Self::write_probe`] for `addr` — setting its dirty bit. Same
-    /// LRU/data effects as [`Self::write_bytes`] minus the set scan.
+    /// [`Self::write_probe`] for `addr` — setting its dirty bit and
+    /// touching LRU; [`Self::write_bytes`] minus the set scan. Always
+    /// inlined, like [`Self::read_bytes`].
+    #[inline(always)]
     pub fn write_at(&mut self, set: usize, way: usize, addr: BlockAddr, offset: usize, bytes: &[u8]) {
         let tag = self.array.geometry().tag_of(addr);
         self.array.touch(set, way);
@@ -273,7 +268,7 @@ impl<R: Replacer> ConventionalCache<R> {
         debug_assert_eq!(line.tag, tag, "line moved since probe");
         line.dirty = true;
         let slot = self.slot(set, way);
-        self.data[slot].as_bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
+        self.data[slot].write_at(offset, bytes);
     }
 
     /// Insert a clean copy of `addr` (a fill from the next level),

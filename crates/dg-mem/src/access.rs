@@ -82,6 +82,19 @@ impl Access {
         self
     }
 
+    /// `bytes` widened to the 8-byte payload field of a store record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than a record can carry.
+    #[inline]
+    pub fn payload_of(bytes: &[u8]) -> [u8; 8] {
+        assert!(bytes.len() <= 8, "a recorded store carries at most 8 bytes");
+        let mut payload = [0u8; 8];
+        payload[..bytes.len()].copy_from_slice(bytes);
+        payload
+    }
+
     /// The store payload bytes (length `size`), if any.
     pub fn payload(&self) -> Option<&[u8]> {
         self.data.as_ref().map(|d| &d[..self.size as usize])

@@ -38,6 +38,20 @@ impl Addr {
         (self.0 & (BLOCK_BYTES as u64 - 1)) as usize
     }
 
+    /// [`Self::block_offset`] of an access of `len` bytes starting
+    /// here — the one place the [`crate::Memory`] contract's block rule
+    /// is enforced, so every implementor fails with the same message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the access would cross into the next block.
+    #[inline(always)]
+    pub fn offset_of_access(self, len: usize) -> usize {
+        let off = self.block_offset();
+        assert!(off + len <= BLOCK_BYTES, "access must not cross a block boundary");
+        off
+    }
+
     /// Address advanced by `bytes`.
     #[inline]
     pub fn offset(self, bytes: u64) -> Addr {

@@ -85,6 +85,31 @@ impl BlockData {
         &mut self.bytes
     }
 
+    /// Copy bytes `[off, off + buf.len())` of the block into `buf`.
+    ///
+    /// Always inlined: a caller whose `buf` is a fixed-size array gets
+    /// one move of that width, not a `memcpy` call — this is the data
+    /// step of every simulated load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span runs past the end of the block.
+    #[inline(always)]
+    pub fn read_at(&self, off: usize, buf: &mut [u8]) {
+        buf.copy_from_slice(&self.bytes[off..off + buf.len()]);
+    }
+
+    /// Overwrite bytes `[off, off + bytes.len())` of the block — the
+    /// store-side twin of [`Self::read_at`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span runs past the end of the block.
+    #[inline(always)]
+    pub fn write_at(&mut self, off: usize, bytes: &[u8]) {
+        self.bytes[off..off + bytes.len()].copy_from_slice(bytes);
+    }
+
     /// Overwrite this block with `src`'s bytes through the SIMD copy
     /// lane — the fill/writeback block-move primitive.
     #[inline]

@@ -1,6 +1,6 @@
 //! Sparse functional main-memory image backed by a paged arena.
 
-use crate::{Addr, BlockAddr, BlockData, Memory, BLOCK_BYTES};
+use crate::{Addr, BlockAddr, BlockData, Memory};
 use dg_par::FxHashMap;
 use std::fmt;
 
@@ -114,23 +114,34 @@ impl MemoryImage {
         self.dir.get(&pid).map(|&i| i as usize)
     }
 
-    /// Look up a page, refreshing the MRU cache on success.
-    #[inline]
+    /// Look up a page, refreshing the MRU cache on success. The MRU
+    /// compare is inline; the directory probe is one call away.
+    #[inline(always)]
     fn find_page_mut(&mut self, pid: u64) -> Option<usize> {
         if self.mru.0 == pid {
             return Some(self.mru.1 as usize);
         }
+        self.probe_dir(pid)
+    }
+
+    #[inline(never)]
+    fn probe_dir(&mut self, pid: u64) -> Option<usize> {
         let idx = *self.dir.get(&pid)?;
         self.mru = (pid, idx);
         Some(idx as usize)
     }
 
     /// Look up a page, allocating (zeroed) if absent; refreshes the MRU.
-    #[inline]
+    #[inline(always)]
     fn find_or_alloc_page(&mut self, pid: u64) -> usize {
         if self.mru.0 == pid {
             return self.mru.1 as usize;
         }
+        self.probe_or_alloc(pid)
+    }
+
+    #[inline(never)]
+    fn probe_or_alloc(&mut self, pid: u64) -> usize {
         let next = self.pages.len() as u32;
         let idx = *self.dir.entry(pid).or_insert(next);
         if idx == next {
@@ -200,39 +211,36 @@ impl MemoryImage {
     }
 }
 
-impl Memory for MemoryImage {
-    fn load_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
-        let off = addr.block_offset();
-        assert!(
-            off + buf.len() <= BLOCK_BYTES,
-            "access must not cross a block boundary"
-        );
+impl MemoryImage {
+    /// The load body behind every [`Memory`] entry point.
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, buf: &mut [u8]) {
+        let off = addr.offset_of_access(buf.len());
         let (pid, slot) = Self::page_id(addr.block());
         match self.find_page_mut(pid) {
-            Some(idx) => {
-                let bytes = self.pages[idx].blocks[slot].as_bytes();
-                buf.copy_from_slice(&bytes[off..off + buf.len()]);
-            }
+            Some(idx) => self.pages[idx].blocks[slot].read_at(off, buf),
             None => buf.fill(0),
         }
     }
 
-    fn store_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        let off = addr.block_offset();
-        assert!(
-            off + bytes.len() <= BLOCK_BYTES,
-            "access must not cross a block boundary"
-        );
+    /// The store body behind every [`Memory`] entry point.
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, bytes: &[u8]) {
+        let off = addr.offset_of_access(bytes.len());
         let (pid, slot) = Self::page_id(addr.block());
         let idx = self.find_or_alloc_page(pid);
         let page = &mut self.pages[idx];
-        page.blocks[slot].as_bytes_mut()[off..off + bytes.len()].copy_from_slice(bytes);
+        page.blocks[slot].write_at(off, bytes);
         let bit = 1u64 << slot;
         if page.present & bit == 0 {
             page.present |= bit;
             self.populated += 1;
         }
     }
+}
+
+impl Memory for MemoryImage {
+    crate::memory_access_methods!(Self::load, Self::store);
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub use annot::{AnnotationTable, ApproxRegion};
 pub use block::{BlockData, BlockStats};
 pub use elem::ElemType;
 pub use image::MemoryImage;
-pub use memory::{Memory, RecordingMemory};
+pub use memory::{load_into, store_from, Memory, RecordingMemory};
 pub use stream::{
     stream_trace, StreamChunk, SynthPattern, SynthStream, TenantSpec, TraceStream, STREAM_CHUNK,
 };

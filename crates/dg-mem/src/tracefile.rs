@@ -12,14 +12,15 @@ use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"DGTRACE1";
 
-/// Cap on speculative `Vec` pre-allocation during deserialization.
+/// Cap on the pre-allocation of the per-core stream list.
 ///
 /// Length fields come verbatim from the (untrusted) file, so a corrupt
 /// header must not be able to request a multi-GiB allocation — or a
 /// capacity-overflow abort — before the per-element reads hit EOF and
-/// surface a clean `InvalidData`/`UnexpectedEof` error. Legitimate
-/// streams longer than the cap still load fine; the vector just grows
-/// incrementally past it.
+/// surface a clean `InvalidData`/`UnexpectedEof` error. The access
+/// streams themselves are sized in one fallible step instead (see
+/// [`Trace::read_from`]): growing a multi-million-record vector by
+/// doubling from a cap was a measurable share of decode time.
 const MAX_PREALLOC: usize = 4096;
 
 fn bad(msg: &str) -> io::Error {
@@ -146,8 +147,13 @@ impl Trace {
         let n_cores = read_u32(r)? as usize;
         let mut cores = Vec::with_capacity(n_cores.min(MAX_PREALLOC));
         for _ in 0..n_cores {
-            let n = read_u64(r)? as usize;
-            let mut stream = Vec::with_capacity(n.min(MAX_PREALLOC));
+            // One allocation of the declared size, asked for fallibly:
+            // a count no allocator can satisfy is a corrupt file, not an
+            // abort, and one that merely overstates the stream costs
+            // untouched address space until the reads below hit EOF.
+            let n = usize::try_from(read_u64(r)?).map_err(|_| bad("access count out of range"))?;
+            let mut stream: Vec<Access> = Vec::new();
+            stream.try_reserve_exact(n).map_err(|_| bad("access count exceeds memory"))?;
             for _ in 0..n {
                 let addr = read_u64(r)?;
                 let [flags, size] = read_exact(r)?;
@@ -246,6 +252,23 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(Trace::read_from(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn rejects_plausible_count_larger_than_the_stream() {
+        // A count that allocates fine (a million records) in front of
+        // two records' worth of bytes: the reservation succeeds and the
+        // third read reports the truncation.
+        let mut buf = empty_header();
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&1_000_000u64.to_le_bytes());
+        for addr in [64u64, 128] {
+            buf.extend_from_slice(&addr.to_le_bytes());
+            buf.extend_from_slice(&[0, 4]); // load, 4 bytes
+            buf.extend_from_slice(&0u32.to_le_bytes()); // think
+        }
+        let err = Trace::read_from(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -32,8 +32,15 @@ pub struct IntervalFeatures {
     pub new_blocks: u64,
     /// Log2 histogram of approximate-store payload words: intervals
     /// writing different value magnitudes exercise different map bins.
-    pub value_bins: Hist64,
+    /// Bucket `i` is [`Hist64::bucket_of`]'s. Counts only, and `u32`
+    /// (an interval holds fewer than 2³² stores): a profile keeps one
+    /// of these per interval for as long as it lives.
+    pub value_bins: [u32; VALUE_BINS],
 }
+
+/// Buckets in [`IntervalFeatures::value_bins`]: one for zero plus one
+/// per bit length of a `u64`.
+pub const VALUE_BINS: usize = 65;
 
 impl IntervalFeatures {
     fn empty() -> Self {
@@ -45,7 +52,7 @@ impl IntervalFeatures {
             think: 0,
             distinct_blocks: 0,
             new_blocks: 0,
-            value_bins: Hist64::new(),
+            value_bins: [0; VALUE_BINS],
         }
     }
 
@@ -57,16 +64,17 @@ impl IntervalFeatures {
     /// and clamped.
     pub fn to_vector(&self) -> Vec<f64> {
         let n = self.accesses.max(1) as f64;
-        let mut v = Vec::with_capacity(6 + self.value_bins.buckets().len());
+        let mut v = Vec::with_capacity(6 + VALUE_BINS);
         v.push(self.loads as f64 / n);
         v.push(self.stores as f64 / n);
         v.push(self.approx as f64 / n);
         v.push((self.think as f64 / (64.0 * n)).min(1.0));
         v.push(self.distinct_blocks as f64 / n);
         v.push(self.new_blocks as f64 / n);
-        let hist_total = self.value_bins.count().max(1) as f64;
-        for &c in self.value_bins.buckets() {
-            v.push(c as f64 / hist_total);
+        let recorded: u64 = self.value_bins.iter().map(|&c| u64::from(c)).sum();
+        let hist_total = recorded.max(1) as f64;
+        for &c in &self.value_bins {
+            v.push(f64::from(c) / hist_total);
         }
         v
     }
@@ -122,7 +130,7 @@ pub fn profile<S: TraceStream + ?Sized>(stream: &mut S, interval_len: u64) -> Pr
             if a.approx {
                 cur.approx += 1;
                 if let Some(data) = a.data {
-                    cur.value_bins.record(u64::from_le_bytes(data));
+                    cur.value_bins[Hist64::bucket_of(u64::from_le_bytes(data))] += 1;
                 }
             }
             cur.think += a.think as u64;
@@ -137,6 +145,9 @@ pub fn profile<S: TraceStream + ?Sized>(stream: &mut S, interval_len: u64) -> Pr
         cur.distinct_blocks = current.len() as u64;
         intervals.push(cur);
     }
+    // Grown by doubling; the profile is kept for as long as its
+    // schedule is, so hand the slack back.
+    intervals.shrink_to_fit();
     Profile { interval_len, total_accesses: total, intervals }
 }
 
@@ -193,7 +204,7 @@ mod tests {
         let late = p.intervals[19].new_blocks;
         assert!(late < early, "late interval still discovering blocks: {late} vs {early}");
         // Approximate stores populate the value-bin histogram.
-        assert!(p.intervals.iter().any(|f| f.value_bins.count() > 0));
+        assert!(p.intervals.iter().any(|f| f.value_bins.iter().any(|&c| c > 0)));
     }
 
     #[test]

@@ -37,6 +37,6 @@ mod schedule;
 mod select;
 
 pub use estimate::{weighted_mean, weighted_ratio, Estimate, RatioSample};
-pub use features::{profile, IntervalFeatures, Profile};
+pub use features::{profile, IntervalFeatures, Profile, VALUE_BINS};
 pub use schedule::{Region, RegionKind, SampleSchedule};
 pub use select::{select, SelectedInterval, Selection};

@@ -114,7 +114,17 @@ pub fn select(profile: &Profile, k: usize, seed: u64) -> Selection {
             let mut best = medoids[slot];
             let mut best_cost = f64::MAX;
             for &cand in &members {
-                let cost: f64 = members.iter().map(|&o| dist2(&vectors[cand], &vectors[o])).sum();
+                // The terms are non-negative, so the running sum never
+                // decreases: once it reaches `best_cost` the finished
+                // sum cannot be below it, and the candidate is dropped
+                // with the same outcome the full sum would have had.
+                let mut cost = 0.0f64;
+                for &o in &members {
+                    cost += dist2(&vectors[cand], &vectors[o]);
+                    if cost >= best_cost {
+                        break;
+                    }
+                }
                 if cost < best_cost {
                     best_cost = cost;
                     best = cand;

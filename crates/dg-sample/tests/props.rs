@@ -9,7 +9,7 @@
 
 use dg_check::{props, vec};
 use dg_obs::Hist64;
-use dg_sample::{profile, select, IntervalFeatures, Profile, SampleSchedule};
+use dg_sample::{profile, select, IntervalFeatures, Profile, SampleSchedule, VALUE_BINS};
 use dg_mem::{Addr, SynthPattern, SynthStream, TenantSpec};
 
 /// A synthetic interval profile built directly from generated feature
@@ -22,8 +22,8 @@ fn build_profile(rows: &[(u32, u32, u32, u64)], single_phase: bool) -> Profile {
         .map(|&(loads, stores, approx, value)| {
             let (loads, stores) = (loads as u64 % 1024, stores as u64 % 1024);
             let accesses = (loads + stores).max(1);
-            let mut value_bins = Hist64::new();
-            value_bins.record(value);
+            let mut value_bins = [0u32; VALUE_BINS];
+            value_bins[Hist64::bucket_of(value)] = 1;
             IntervalFeatures {
                 accesses,
                 loads,

@@ -9,7 +9,9 @@
 //! range buffer at the LLC.
 
 use crate::{System, SystemConfig};
-use dg_mem::{Addr, AnnotationTable, ApproxRegion, BlockAddr, Memory, MemoryImage};
+use dg_mem::{
+    load_into, store_from, Addr, AnnotationTable, ApproxRegion, BlockAddr, Memory, MemoryImage,
+};
 use dg_workloads::Kernel;
 
 /// A [`Memory`] adapter that relocates every access by a fixed offset —
@@ -32,14 +34,20 @@ impl<M: Memory> OffsetMemory<M> {
     }
 }
 
-impl<M: Memory> Memory for OffsetMemory<M> {
-    fn load_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
-        self.inner.load_bytes(Addr(addr.0 + self.offset), buf);
+impl<M: Memory> OffsetMemory<M> {
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, buf: &mut [u8]) {
+        load_into(&mut self.inner, Addr(addr.0 + self.offset), buf);
     }
 
-    fn store_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        self.inner.store_bytes(Addr(addr.0 + self.offset), bytes);
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, bytes: &[u8]) {
+        store_from(&mut self.inner, Addr(addr.0 + self.offset), bytes);
     }
+}
+
+impl<M: Memory> Memory for OffsetMemory<M> {
+    dg_mem::memory_access_methods!(Self::load, Self::store);
 
     fn think(&mut self, ops: u32) {
         self.inner.think(ops);

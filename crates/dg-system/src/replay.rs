@@ -8,7 +8,7 @@
 //! computations see the data the kernel actually produced.
 
 use crate::{System, SystemConfig};
-use dg_mem::{Addr, RecordingMemory, Trace, TraceBuilder};
+use dg_mem::{load_into, store_from, Access, Addr, Memory, RecordingMemory, Trace, TraceBuilder};
 use dg_workloads::Kernel;
 
 /// Run `kernel` once against a precise memory and capture a per-core
@@ -41,17 +41,26 @@ pub fn replay(trace: &Trace, cfg: SystemConfig) -> System {
         "trace has more core streams than the system has cores"
     );
     let mut sys = System::new(cfg, trace.initial.clone(), trace.annotations.clone());
-    let mut buf = [0u8; 8];
     for (core, access) in trace.interleaved() {
-        if access.think > 0 {
-            sys.think(core, access.think);
-        }
-        match access.payload() {
-            Some(bytes) => sys.store(core, access.addr, bytes),
-            None => sys.load(core, access.addr, &mut buf[..access.size as usize]),
-        }
+        issue(&mut sys, core, access);
     }
     sys
+}
+
+/// Retire one trace record on `core`, through the [`CoreMemory`] entry
+/// point of the record's width.
+///
+/// [`CoreMemory`]: crate::CoreMemory
+#[inline]
+fn issue(sys: &mut System, core: usize, access: &Access) {
+    let mut mem = sys.core_memory(core);
+    if access.think > 0 {
+        mem.think(access.think);
+    }
+    match access.payload() {
+        Some(bytes) => store_from(&mut mem, access.addr, bytes),
+        None => load_into(&mut mem, access.addr, &mut [0u8; 8][..access.size as usize]),
+    }
 }
 
 /// [`replay`] with cycle-window access batching: each round-robin round
@@ -73,7 +82,6 @@ pub fn replay_batched(trace: &Trace, cfg: SystemConfig) -> System {
     let ncores = trace.cores.len();
     let mut cursors = vec![0usize; ncores];
     let mut window: Vec<(usize, Addr)> = Vec::with_capacity(ncores);
-    let mut buf = [0u8; 8];
     loop {
         window.clear();
         for (core, &cur) in cursors.iter().enumerate() {
@@ -88,13 +96,7 @@ pub fn replay_batched(trace: &Trace, cfg: SystemConfig) -> System {
         for (core, cur) in cursors.iter_mut().enumerate() {
             let Some(access) = trace.cores[core].get(*cur) else { continue };
             *cur += 1;
-            if access.think > 0 {
-                sys.think(core, access.think);
-            }
-            match access.payload() {
-                Some(bytes) => sys.store(core, access.addr, bytes),
-                None => sys.load(core, access.addr, &mut buf[..access.size as usize]),
-            }
+            issue(&mut sys, core, access);
         }
         sys.end_window();
     }

@@ -271,12 +271,20 @@ impl HybridState {
 
     /// Advance to the access at `self.idx`, running any boundary
     /// actions (window open/close, cache drop) against `sys`. Returns
-    /// the mode the access executes under.
+    /// the mode the access executes under. Deep inside a skip region
+    /// that is one compare, inline; everything else is
+    /// [`Self::cross_boundary`].
+    #[inline(always)]
     fn transition(&mut self, sys: &mut System) -> Mode {
         if self.mode == Mode::Skip && self.idx < self.skip_until {
             self.idx += 1;
             return Mode::Skip;
         }
+        self.cross_boundary(sys)
+    }
+
+    #[inline(never)]
+    fn cross_boundary(&mut self, sys: &mut System) -> Mode {
         let next = self.mode_of(self.idx);
         // In skip, `mode_of` left the cursor at the next region (or past
         // the end): every access below its start stays in skip.
@@ -327,8 +335,9 @@ struct HybridMemory<'a> {
     core: usize,
 }
 
-impl Memory for HybridMemory<'_> {
-    fn load_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
+impl HybridMemory<'_> {
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, buf: &mut [u8]) {
         let mode = self.state.transition(self.sys);
         let think = std::mem::take(&mut self.state.pending_think);
         if mode == Mode::Skip {
@@ -341,7 +350,8 @@ impl Memory for HybridMemory<'_> {
         }
     }
 
-    fn store_bytes(&mut self, addr: Addr, bytes: &[u8]) {
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, bytes: &[u8]) {
         let mode = self.state.transition(self.sys);
         let think = std::mem::take(&mut self.state.pending_think);
         if mode == Mode::Skip {
@@ -353,7 +363,12 @@ impl Memory for HybridMemory<'_> {
             self.sys.store(self.core, addr, bytes);
         }
     }
+}
 
+impl Memory for HybridMemory<'_> {
+    dg_mem::memory_access_methods!(Self::load, Self::store);
+
+    #[inline]
     fn think(&mut self, ops: u32) {
         // Attribute compute to the access that follows it, mirroring
         // trace capture: the mode of that access decides whether the
@@ -366,16 +381,20 @@ impl Memory for HybridMemory<'_> {
 /// the program's architectural state).
 struct FunctionalMemory<'a>(&'a mut System);
 
-impl Memory for FunctionalMemory<'_> {
-    fn load_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
+impl FunctionalMemory<'_> {
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, buf: &mut [u8]) {
         self.0.functional_load(addr, buf);
     }
 
-    fn store_bytes(&mut self, addr: Addr, bytes: &[u8]) {
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, bytes: &[u8]) {
         self.0.functional_store(addr, bytes);
     }
+}
 
-    fn think(&mut self, _ops: u32) {}
+impl Memory for FunctionalMemory<'_> {
+    dg_mem::memory_access_methods!(Self::load, Self::store);
 }
 
 /// Execute `kernel` under `schedule`, reconstructing full-run estimates

@@ -11,7 +11,10 @@
 
 use crate::{DisplacedBlock, Llc, LlcCounters, SystemConfig};
 use dg_cache::{CacheGeometry, CacheStats, ConventionalCache, Sharers, WritebackBuffer};
-use dg_mem::{Addr, AnnotationTable, ApproxRegion, BlockAddr, BlockData, Memory, MemoryImage};
+use dg_mem::{
+    load_into, store_from, Addr, AnnotationTable, ApproxRegion, BlockAddr, BlockData, Memory,
+    MemoryImage,
+};
 use dg_obs::{enabled, event, Hist64, Level, Registry};
 use dg_par::{FxHashMap, FxHashSet};
 
@@ -155,26 +158,42 @@ impl System {
     }
 
     /// Perform a load of `buf.len()` bytes at `addr` on `core`.
+    ///
+    /// Always inlined, with the L1 miss one call away: what a caller
+    /// pays on a hit is the MRU-way compare, the LRU touch, the
+    /// counters and one move — of `buf`'s own width when that is a
+    /// fixed-size array, which is how every [`CoreMemory`] entry point
+    /// other than `load_bytes` arrives here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the access crosses a block boundary.
+    #[inline(always)]
     pub fn load(&mut self, core: usize, addr: Addr, buf: &mut [u8]) {
+        let off = addr.offset_of_access(buf.len());
         self.insts[core] += 1;
         self.accesses += 1;
         let block = addr.block();
-        let off = addr.block_offset();
         let c0 = self.cycles[core];
         // L1 hit fast path: one set scan, bytes copied straight out of
         // the line (same LRU/stats effects as the general path).
         self.cycles[core] += self.cfg.l1_latency;
-        if self.l1[core].read_bytes(block, off, buf) {
-            self.obs_record_latency(core, c0);
-            return;
+        if !self.l1[core].read_bytes(block, off, buf) {
+            self.l1_miss(core, block, false).read_at(off, buf);
         }
-        let data = self.l1_miss(core, block, false);
-        buf.copy_from_slice(&data.as_bytes()[off..off + buf.len()]);
         self.obs_record_latency(core, c0);
     }
 
-    /// Perform a store of `bytes` at `addr` on `core`.
+    /// Perform a store of `bytes` at `addr` on `core`. Inlined like
+    /// [`Self::load`]: the L1 hit on a line this core already owns is
+    /// straight-line code, the ownership upgrade and the miss are calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the access crosses a block boundary.
+    #[inline(always)]
     pub fn store(&mut self, core: usize, addr: Addr, bytes: &[u8]) {
+        let off = addr.offset_of_access(bytes.len());
         self.insts[core] += 1;
         self.accesses += 1;
         let block = addr.block();
@@ -193,14 +212,18 @@ impl System {
             if !dirty {
                 self.acquire_ownership(core, block);
             }
-            self.l1[core].write_at(set, way, block, addr.block_offset(), bytes);
-            self.obs_record_latency(core, c0);
-            return;
+            self.l1[core].write_at(set, way, block, off, bytes);
+        } else {
+            self.store_miss(core, block, off, bytes);
         }
-        self.l1_miss(core, block, true);
-        let wrote = self.l1[core].write_bytes(block, addr.block_offset(), bytes);
-        debug_assert!(wrote, "l1_miss fills L1");
         self.obs_record_latency(core, c0);
+    }
+
+    #[inline(never)]
+    fn store_miss(&mut self, core: usize, block: BlockAddr, off: usize, bytes: &[u8]) {
+        self.l1_miss(core, block, true);
+        let wrote = self.l1[core].write_bytes(block, off, bytes);
+        debug_assert!(wrote, "l1_miss fills L1");
     }
 
     // ------------------------------------------------------------------
@@ -257,7 +280,9 @@ impl System {
     /// The L1-miss continuation of [`Self::load`] / [`Self::store`]:
     /// L2, then LLC with coherence actions. The L1 latency is already
     /// charged; the block is filled into L2 and L1 (with ownership if
-    /// `for_write`) and its contents returned.
+    /// `for_write`) and its contents returned. Never inlined: it is
+    /// the one call the inlined hit paths make.
+    #[inline(never)]
     fn l1_miss(&mut self, core: usize, block: BlockAddr, for_write: bool) -> BlockData {
         self.cycles[core] += self.cfg.l2_latency;
         if let Some(data) = self.l2[core].read(block) {
@@ -738,9 +763,19 @@ impl System {
     /// resident in the Doppelgänger arrays at skip entry return the
     /// shared representative the cache held, mirroring what a
     /// Doppelgänger LLC hit would have served.
+    ///
+    /// Always inlined: with the image's MRU page current and no
+    /// overlay entry in reach, a skipped load is a page compare, one
+    /// move and the overlay check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the access crosses a block boundary.
+    #[inline(always)]
     pub fn functional_load(&mut self, addr: Addr, buf: &mut [u8]) {
-        self.dram.load_bytes(addr, buf);
-        if self.approx_overlay && !self.func_approx.is_empty() {
+        load_into(&mut self.dram, addr, buf);
+        if self.approx_overlay && !self.func_approx.is_empty() && self.skip_filter_hit(addr.block())
+        {
             self.overlay_approx(addr, buf);
         }
     }
@@ -811,33 +846,18 @@ impl System {
         self.skip_filter[w] & bit != 0
     }
 
-    /// Replace the bytes of `buf` that fall in snapshot blocks with the
-    /// snapshot representative's bytes (see
-    /// [`Self::set_functional_approx`]).
-    fn overlay_approx(&mut self, addr: Addr, buf: &mut [u8]) {
-        if buf.is_empty() {
-            return;
-        }
-        let first = addr.block().0;
-        let last = addr.offset(buf.len() as u64 - 1).block().0;
-        for b in first..=last {
-            let block = BlockAddr(b);
-            if !self.skip_filter_hit(block) {
-                continue;
-            }
-            let Some(rep) = self.func_approx.get(&block) else { continue };
-            // Byte overlap of this block with the loaded span.
-            let base = block.base().0;
-            let lo = base.max(addr.0);
-            let hi = (base + dg_mem::BLOCK_BYTES as u64).min(addr.0 + buf.len() as u64);
-            let src = &rep.as_bytes()[(lo - base) as usize..(hi - base) as usize];
-            buf[(lo - addr.0) as usize..(hi - addr.0) as usize].copy_from_slice(src);
+    /// Replace `buf` with the snapshot representative's bytes if the
+    /// loaded block has one (see [`Self::set_functional_approx`]).
+    #[inline(never)]
+    fn overlay_approx(&self, addr: Addr, buf: &mut [u8]) {
+        if let Some(rep) = self.func_approx.get(&addr.block()) {
+            rep.read_at(addr.block_offset(), buf);
         }
     }
 
     /// Functional store straight to the DRAM image (see
     /// [`Self::functional_load`]), dropping any cached copy of the
-    /// touched blocks first.
+    /// touched block first.
     ///
     /// This is what lets the sampled runner keep cache contents warm
     /// across skipped regions (flush instead of drop at the transition):
@@ -846,36 +866,34 @@ impl System {
     /// DMA write from a non-coherent agent. Untouched blocks stay
     /// resident, and detailed simulation resumes against a warm
     /// hierarchy instead of a cold one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the access crosses a block boundary.
+    #[inline(always)]
     pub fn functional_store(&mut self, addr: Addr, bytes: &[u8]) {
-        if !bytes.is_empty() {
-            let first = addr.block().0;
-            let last = addr.offset(bytes.len() as u64 - 1).block().0;
-            for b in first..=last {
-                let block = BlockAddr(b);
-                if self.approx_overlay {
-                    // Fast path: the skip-epoch residency filter knows
-                    // whether any cache holds the block at all; stores
-                    // to absent blocks (the common case in streaming
-                    // writes) touch only DRAM. The Bloom pre-filter
-                    // short-circuits even the hash probe when the whole
-                    // 4 KiB group is resident-free.
-                    if !self.skip_filter_hit(block) || !self.skip_resident.remove(&block) {
-                        continue;
-                    }
-                }
-                self.functional_invalidate(block);
-                // The snapshot held the block's *old* representative.
-                self.func_approx.remove(&block);
-            }
+        addr.offset_of_access(bytes.len());
+        let block = addr.block();
+        // Fast path: the skip-epoch residency filter knows whether any
+        // cache holds the block at all; stores to absent blocks (the
+        // common case in streaming writes) touch only DRAM. The Bloom
+        // pre-filter short-circuits even the hash probe when the whole
+        // 4 KiB group is resident-free.
+        if !bytes.is_empty() && (!self.approx_overlay || self.skip_filter_hit(block)) {
+            self.functional_invalidate(block);
         }
-        self.dram.store_bytes(addr, bytes);
+        store_from(&mut self.dram, addr, bytes);
     }
 
-    /// Drop one block from every cache and the directory without a
-    /// writeback (the caller is overwriting its memory). No statistics
-    /// are attributed — this models warm-state maintenance, not
-    /// simulated coherence traffic.
+    /// Drop one block from every cache and the directory ahead of a
+    /// functional store to it, without a writeback (the caller is
+    /// overwriting its memory). No statistics are attributed — this
+    /// models warm-state maintenance, not simulated coherence traffic.
+    #[inline(never)]
     fn functional_invalidate(&mut self, block: BlockAddr) {
+        if self.approx_overlay && !self.skip_resident.remove(&block) {
+            return;
+        }
         if let Some(sharers) = self.directory.remove(&block) {
             for c in sharers.iter() {
                 self.l2[c].invalidate(block);
@@ -883,6 +901,8 @@ impl System {
             }
         }
         self.llc.invalidate_block(block);
+        // The snapshot held the block's *old* representative.
+        self.func_approx.remove(&block);
     }
 
     /// A [`Memory`] view of this system as seen from `core`.
@@ -908,15 +928,22 @@ impl CoreMemory<'_> {
     }
 }
 
-impl Memory for CoreMemory<'_> {
-    fn load_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
+impl CoreMemory<'_> {
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, buf: &mut [u8]) {
         self.sys.load(self.core, addr, buf);
     }
 
-    fn store_bytes(&mut self, addr: Addr, bytes: &[u8]) {
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, bytes: &[u8]) {
         self.sys.store(self.core, addr, bytes);
     }
+}
 
+impl Memory for CoreMemory<'_> {
+    dg_mem::memory_access_methods!(Self::load, Self::store);
+
+    #[inline]
     fn think(&mut self, ops: u32) {
         self.sys.think(self.core, ops);
     }

@@ -19,7 +19,9 @@
 
 use crate::{prepare, Kernel};
 use dg_mem::stream::{StreamChunk, TraceStream, STREAM_CHUNK};
-use dg_mem::{Access, AccessKind, Addr, AnnotationTable, Memory, MemoryImage};
+use dg_mem::{
+    load_into, store_from, Access, AccessKind, Addr, AnnotationTable, Memory, MemoryImage,
+};
 
 /// A [`TraceStream`] over a kernel's functional execution.
 #[derive(Debug)]
@@ -127,18 +129,24 @@ impl StreamRecorder<'_, '_> {
     }
 }
 
-impl Memory for StreamRecorder<'_, '_> {
-    fn load_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
+impl StreamRecorder<'_, '_> {
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, buf: &mut [u8]) {
+        addr.offset_of_access(buf.len());
         self.record(addr, AccessKind::Load, buf.len(), None);
-        self.image.load_bytes(addr, buf);
+        load_into(self.image, addr, buf);
     }
 
-    fn store_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        let mut payload = [0u8; 8];
-        payload[..bytes.len()].copy_from_slice(bytes);
-        self.record(addr, AccessKind::Store, bytes.len(), Some(payload));
-        self.image.store_bytes(addr, bytes);
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, bytes: &[u8]) {
+        addr.offset_of_access(bytes.len());
+        self.record(addr, AccessKind::Store, bytes.len(), Some(Access::payload_of(bytes)));
+        store_from(self.image, addr, bytes);
     }
+}
+
+impl Memory for StreamRecorder<'_, '_> {
+    dg_mem::memory_access_methods!(Self::load, Self::store);
 
     fn think(&mut self, ops: u32) {
         self.pending_think = self.pending_think.saturating_add(ops);

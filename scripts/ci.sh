@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: one command that gates every merge.
 #
-# Thin wrapper over scripts/verify.sh (tier-1 build + tests +
+# Thin wrapper over scripts/verify.sh (tier-1 build + tests, the
+# observability identity and per-level count gates among them +
 # cargo clippy on the workspace, exit status only +
 # benchmark smoke run checked against benchmark/golden/* +
 # hermeticity + differential oracle on both the SIMD and scalar lanes +
@@ -9,9 +10,8 @@
 # repro/profile smoke + concurrent serve smoke with its analytic
 # hit-rate gate + monitored-serve smoke asserting the telemetry plane
 # flags an injected anomaly without steady-state false positives +
-# observability pay-for-use timing gate + sampled-simulation gate
-# against full-coverage references with byte-diff determinism across
-# runs and worker counts)
+# sampled-simulation gate against full-coverage references with
+# byte-diff determinism across runs and worker counts)
 # so that CI, pre-commit hooks, and humans all run the *same* check —
 # there is no CI-only logic to drift out of sync with local
 # verification.
