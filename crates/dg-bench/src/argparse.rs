@@ -1,13 +1,14 @@
 //! Strict-parsing building blocks shared by every bench binary.
 //!
-//! `repro_all` and `serve_bench` each match their arguments against a
+//! `repro_all`, `serve_bench`, `serve_monitor` and the figure binaries
+//! ([`crate::scale_from_args`]) each match their arguments against a
 //! closed set — anything unknown, duplicated or malformed aborts with a
 //! usage message and exit status [`USAGE_EXIT`] instead of being
 //! silently ignored. The mechanics of that contract (duplicate
 //! detection, value-taking flags, `--flag=VALUE` forms, the error
 //! formatting on exit) used to be duplicated per binary and had already
 //! drifted in small ways; they live here once so a fix to one parser is
-//! a fix to both.
+//! a fix to all.
 
 /// Exit status used for command-line errors (the conventional
 /// `EX_USAGE`-adjacent value distinct from runtime failures' `1`).
@@ -40,7 +41,7 @@ pub fn take_value(
 ) -> Result<String, String> {
     it.next()
         .filter(|v| !v.starts_with("--"))
-        .ok_or_else(|| format!("{name} requires a PATH value"))
+        .ok_or_else(|| format!("{name} requires a value"))
 }
 
 /// Match the inline form `--name=VALUE`. Returns `Ok(None)` when `arg`

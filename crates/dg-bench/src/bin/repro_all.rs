@@ -3,7 +3,7 @@
 //! generates the data recorded in EXPERIMENTS.md.
 //!
 //! Usage:
-//! `cargo run --release -p dg-bench --bin repro_all [--small | --medium] [--check] [--sampled[=K]] [--sampled-check] [--profile[=PATH]] [--json PATH] [--timing]`
+//! `cargo run --release -p dg-bench --bin repro_all [--small | --medium] [--check] [--sampled[=K]] [--sampled-check] [--profile[=PATH]] [--json PATH]`
 //!
 //! `--check` runs the differential-oracle gate instead of the figures:
 //! every kernel trace is replayed in lockstep through the optimized
@@ -17,8 +17,8 @@
 //! figures, writing `PROFILE_repro.json` (or `PATH`) plus a
 //! Chrome-trace timeline and a JSONL event log next to it (see
 //! `dg_bench::profile`). `--json PATH` additionally exports every
-//! evaluation as a JSON array of result rows. `--timing` records
-//! per-configuration and per-kernel wall-clock into `BENCH_repro.json`.
+//! evaluation as a JSON array of result rows. Wall-clock is measured by
+//! `benchmark/run.sh`, not here (`benchmark/README.md`).
 //!
 //! Arguments are parsed strictly (`dg_bench::cli`): anything outside
 //! this set — including near-miss typos like `--cehck` — aborts with a
@@ -36,7 +36,6 @@ use dg_bench::figures;
 use dg_bench::Sweep;
 
 fn main() {
-    let start = std::time::Instant::now();
     let args = ReproArgs::from_env();
     dg_bench::cli::apply_obs_level_env("repro_all");
     let scale = args.scale();
@@ -58,21 +57,6 @@ fn main() {
         if let Some(path) = args.json.as_deref() {
             match dg_bench::sampled::export_sampled_rows(&sweep, std::path::Path::new(path)) {
                 Ok(()) => eprintln!("[repro_all] wrote {path}"),
-                Err(e) => {
-                    eprintln!("[repro_all] failed to write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        if args.timing {
-            let path = "BENCH_repro.json";
-            let total = start.elapsed().as_secs_f64();
-            match dg_bench::sampled::export_sampled_timings(
-                &sweep,
-                total,
-                std::path::Path::new(path),
-            ) {
-                Ok(()) => eprintln!("[repro_all] wrote {path} ({total:.3}s total)"),
                 Err(e) => {
                     eprintln!("[repro_all] failed to write {path}: {e}");
                     std::process::exit(1);
@@ -138,18 +122,6 @@ fn main() {
     if let Some(path) = args.json.as_deref() {
         match dg_bench::results::export_sweep(&sweep, std::path::Path::new(path)) {
             Ok(()) => eprintln!("[repro_all] wrote {path}"),
-            Err(e) => eprintln!("[repro_all] failed to write {path}: {e}"),
-        }
-    }
-    if args.timing {
-        let path = "BENCH_repro.json";
-        // Capture the figure-generation wall-clock before the per-access
-        // microbenchmarks so the ALL/TOTAL row stays comparable across
-        // revisions.
-        let total = start.elapsed().as_secs_f64();
-        let peraccess = dg_bench::peraccess::measure_all();
-        match dg_bench::results::export_timings(&sweep, &peraccess, total, std::path::Path::new(path)) {
-            Ok(()) => eprintln!("[repro_all] wrote {path} ({total:.3}s total)"),
             Err(e) => eprintln!("[repro_all] failed to write {path}: {e}"),
         }
     }

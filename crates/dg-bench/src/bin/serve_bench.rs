@@ -1,19 +1,14 @@
-//! Sustained-throughput benchmark for the `dg-serve` concurrent
+//! The analytic hit-rate gate for the `dg-serve` concurrent
 //! similarity-cache server.
 //!
 //! Usage:
-//! `cargo run --release -p dg-bench --bin serve_bench [--smoke] [--check] [--json PATH] [--validate PATH]`
+//! `cargo run --release -p dg-bench --bin serve_bench [--smoke] --check`
 //!
-//! The default run drives a 16-shard server with batched
-//! Zipf-over-similarity traffic at the `DG_PAR_THREADS` worker count,
-//! measures a get-or-insert segment and a get/put segment, re-checks
-//! the analytic hit-rate oracle, and writes `BENCH_serve.json`
-//! (`{meta, rows}` — same shape as `BENCH_repro.json`). `--smoke` is
-//! the fast CI variant; `--check` runs only the oracle gate and exits
-//! non-zero if the measured hit rate leaves the Che tolerance band;
-//! `--validate PATH` checks an existing report's shape without
-//! running. Arguments are parsed strictly: a typo aborts with usage
-//! and exit status 2 rather than silently benchmarking.
+//! Drives a sharded server with batched Zipf-over-similarity traffic
+//! and exits non-zero if the measured hit rate leaves the Che
+//! tolerance band; `--smoke` is the shorter CI variant. Server
+//! throughput is timed by `benchmark/run.sh`. Arguments are parsed
+//! strictly: a typo aborts with usage and exit status 2.
 
 use dg_bench::argparse::usage_error;
 use dg_bench::serve::{self, ServeArgs};
@@ -24,65 +19,19 @@ fn main() {
         Err(e) => usage_error("serve_bench", &e, ServeArgs::USAGE),
     };
     // DG_OBS_LEVEL raises the observability level (e.g. `metrics` to
-    // populate the per-shard batch-latency histograms); observation is
-    // identity-preserving, so the measured hit rates are unaffected.
+    // populate the per-shard histograms); observation is
+    // identity-preserving, so the measured hit rate is unaffected.
     dg_bench::cli::apply_obs_level_env("serve_bench");
 
-    if let Some(path) = args.validate.as_deref() {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serve_bench: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match serve::validate_report(&text) {
-            Ok(()) => {
-                eprintln!("[serve_bench] {path}: report shape OK");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("serve_bench: {path}: invalid report: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if args.check {
-        let (row, ok, tolerance) = serve::oracle_gate(args.smoke);
-        eprintln!(
-            "[serve_bench] oracle gate: measured {:.4} vs predicted {:.4} (tolerance {:.4}) over \
-             {} lookups — {}",
-            row.hit_rate,
-            row.predicted_hit_rate,
-            tolerance,
-            row.requests,
-            if ok { "OK" } else { "FAIL" }
-        );
-        std::process::exit(if ok { 0 } else { 1 });
-    }
-
+    let (row, ok, tolerance) = serve::oracle_gate(args.smoke);
     eprintln!(
-        "[serve_bench] running {} benchmark",
-        if args.smoke { "smoke" } else { "full" }
+        "[serve_bench] oracle gate: measured {:.4} vs predicted {:.4} (tolerance {:.4}) over \
+         {} lookups — {}",
+        row.hit_rate,
+        row.predicted_hit_rate,
+        tolerance,
+        row.accesses,
+        if ok { "OK" } else { "FAIL" }
     );
-    let (rows, gate_ok) = serve::run_bench(args.smoke);
-    for r in &rows {
-        eprintln!(
-            "[serve_bench] {:>12}: {:>9} reqs in {:.3}s = {:.2} Mops/s, hit rate {:.4}",
-            r.name, r.requests, r.secs, r.mops, r.hit_rate
-        );
-    }
-    let path = args.json.as_deref().unwrap_or("BENCH_serve.json");
-    match serve::export(args.scale(), &rows, std::path::Path::new(path)) {
-        Ok(()) => eprintln!("[serve_bench] wrote {path}"),
-        Err(e) => {
-            eprintln!("serve_bench: failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if !gate_ok {
-        eprintln!("serve_bench: analytic hit-rate gate FAILED (see oracle_gate row)");
-        std::process::exit(1);
-    }
+    std::process::exit(if ok { 0 } else { 1 });
 }

@@ -7,19 +7,30 @@
 //!
 //! Usage: `cargo run --release -p dg-bench --bin sharing_timeline [--small] [--kernel NAME]`
 
+use dg_bench::argparse::{set_flag, set_value, take_value, usage_error};
 use dg_bench::experiments::suite;
+use dg_bench::Scale;
 use dg_system::System;
 
+const USAGE: &str = "usage: sharing_timeline [--small] [--kernel NAME]";
+
+fn parse_args() -> Result<(Scale, Option<String>), String> {
+    let (mut small, mut kernel) = (false, None);
+    let mut it = std::env::args().skip(1);
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--small" => set_flag(&mut small, "--small")?,
+            "--kernel" => set_value(&mut kernel, "--kernel", take_value(&mut it, "--kernel")?)?,
+            other => return Err(format!("unknown argument '{other}'")),
+        }
+    }
+    Ok((if small { Scale::Small } else { Scale::Paper }, kernel))
+}
+
 fn main() {
-    let scale = dg_bench::scale_from_args();
-    let argv: Vec<String> = std::env::args().collect();
-    let kernel_name = argv
-        .iter()
-        .position(|a| a == "--kernel")
-        .and_then(|i| argv.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("jpeg")
-        .to_string();
+    let (scale, kernel_name) =
+        parse_args().unwrap_or_else(|e| usage_error("sharing_timeline", &e, USAGE));
+    let kernel_name = kernel_name.unwrap_or_else(|| "jpeg".to_string());
 
     let kernels = suite(scale);
     let Some(kernel) = kernels.iter().find(|k| k.name() == kernel_name) else {

@@ -40,15 +40,13 @@ pub struct ReproArgs {
     pub profile: Option<String>,
     /// Export evaluation rows as JSON (`--json PATH`).
     pub json: Option<String>,
-    /// Record wall-clock timings into `BENCH_repro.json` (`--timing`).
-    pub timing: bool,
 }
 
 impl ReproArgs {
     /// The usage message printed on a parse error.
     pub const USAGE: &'static str = "usage: repro_all [--small | --medium] [--check] \
                                      [--sampled[=K]] [--sampled-check] [--profile[=PATH]] \
-                                     [--json PATH] [--timing]\n\
+                                     [--json PATH]\n\
                                      \n\
                                      --small          reduced-scale run (small kernels, scaled-down caches)\n\
                                      --medium         ~10x the small access count on the same caches\n\
@@ -56,8 +54,7 @@ impl ReproArgs {
                                      --sampled[=K]    sampled run: K representative intervals per kernel\n\
                                      --sampled-check  gate sampled estimates against full-coverage references\n\
                                      --profile[=PATH] profiled run; writes PROFILE_repro.json (or PATH)\n\
-                                     --json PATH      export every evaluation as JSON result rows\n\
-                                     --timing         record wall-clock into BENCH_repro.json";
+                                     --json PATH      export every evaluation as JSON result rows";
 
     /// Parse the arguments after the program name. Rejects unknown
     /// flags, missing values and duplicates.
@@ -74,7 +71,6 @@ impl ReproArgs {
                 "--medium" => set_flag(&mut out.medium, "--medium")?,
                 "--check" => set_flag(&mut out.check, "--check")?,
                 "--sampled-check" => set_flag(&mut out.sampled_check, "--sampled-check")?,
-                "--timing" => set_flag(&mut out.timing, "--timing")?,
                 "--sampled" => set_sampled(&mut out.sampled, DEFAULT_SAMPLED_K)?,
                 "--profile" => {
                     set_value(&mut out.profile, "--profile", "PROFILE_repro.json".into())?
@@ -105,17 +101,16 @@ impl ReproArgs {
         if out.check
             && (out.profile.is_some()
                 || out.json.is_some()
-                || out.timing
                 || out.sampled.is_some()
                 || out.sampled_check)
         {
             return Err("--check replaces the figure run; it cannot be combined with \
-                        --profile/--json/--timing/--sampled/--sampled-check"
+                        --profile/--json/--sampled/--sampled-check"
                 .into());
         }
-        if out.sampled_check && (out.profile.is_some() || out.json.is_some() || out.timing) {
+        if out.sampled_check && (out.profile.is_some() || out.json.is_some()) {
             return Err("--sampled-check is a gate; it cannot be combined with \
-                        --profile/--json/--timing"
+                        --profile/--json"
                 .into());
         }
         if out.sampled.is_some() && out.profile.is_some() {
@@ -217,8 +212,8 @@ mod tests {
 
     #[test]
     fn every_flag_parses() {
-        let a = parse(&["--small", "--json", "out.json", "--timing"]).unwrap();
-        assert!(a.small && a.timing);
+        let a = parse(&["--small", "--json", "out.json"]).unwrap();
+        assert!(a.small);
         assert_eq!(a.json.as_deref(), Some("out.json"));
         assert_eq!(a.scale(), Scale::Small);
 
@@ -240,7 +235,7 @@ mod tests {
         assert_eq!(a.sampled, Some(DEFAULT_SAMPLED_K));
         assert_eq!(a.sampled_k(), DEFAULT_SAMPLED_K);
 
-        let a = parse(&["--sampled=12", "--timing"]).unwrap();
+        let a = parse(&["--sampled=12", "--json", "out.json"]).unwrap();
         assert_eq!(a.sampled, Some(12));
 
         let a = parse(&["--small", "--sampled-check"]).unwrap();
@@ -270,7 +265,7 @@ mod tests {
     #[test]
     fn missing_and_duplicate_values_are_rejected() {
         assert!(parse(&["--json"]).is_err());
-        assert!(parse(&["--json", "--timing"]).is_err(), "flag-shaped value must not be eaten");
+        assert!(parse(&["--json", "--small"]).is_err(), "flag-shaped value must not be eaten");
         assert!(parse(&["--profile="]).is_err());
         assert!(parse(&["--small", "--small"]).is_err());
         assert!(parse(&["--profile", "--profile=x"]).is_err());
@@ -278,13 +273,11 @@ mod tests {
 
     #[test]
     fn mode_conflicts_are_rejected() {
-        assert!(parse(&["--check", "--timing"]).is_err());
         assert!(parse(&["--check", "--json", "x"]).is_err());
         assert!(parse(&["--check", "--profile"]).is_err());
         assert!(parse(&["--check", "--sampled"]).is_err());
         assert!(parse(&["--check", "--sampled-check"]).is_err());
         assert!(parse(&["--small", "--medium"]).is_err());
-        assert!(parse(&["--sampled-check", "--timing"]).is_err());
         assert!(parse(&["--sampled-check", "--json", "x"]).is_err());
         assert!(parse(&["--sampled", "--profile"]).is_err());
     }

@@ -21,7 +21,6 @@ use dg_workloads::Kernel;
 use doppelganger::{DoppelgangerConfig, MapSpace};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -205,8 +204,6 @@ pub struct BaselineArtifacts {
     /// Per-kernel, per-phase approximate-block snapshots (the inputs
     /// to the Fig. 2/7/8 similarity analyses).
     pub snapshots: Vec<Vec<PhaseSnapshot>>,
-    /// Per-kernel wall-clock, suite order.
-    pub kernel_times: Vec<Duration>,
 }
 
 fn baseline_memo() -> &'static Mutex<HashMap<(Scale, u64, usize), Arc<BaselineArtifacts>>> {
@@ -237,28 +234,11 @@ pub fn baseline_artifacts(scale: Scale, seed: u64, threads: usize) -> Arc<Baseli
             move || evaluate_and_snapshots(kernel.as_ref(), cfg, threads, golden)
         })
         .collect();
-    let (pairs, report) = pool.run_report(jobs);
-    let mut results = Vec::with_capacity(pairs.len());
-    let mut snapshots = Vec::with_capacity(pairs.len());
-    for (r, s) in pairs {
-        results.push(r);
-        snapshots.push(s);
-    }
-    let art = Arc::new(BaselineArtifacts { results, snapshots, kernel_times: report.job_times });
+    let (results, snapshots) = pool.run(jobs).into_iter().unzip();
+    let art = Arc::new(BaselineArtifacts { results, snapshots });
     Arc::clone(
         baseline_memo().lock().expect("baseline memo poisoned").entry(key).or_insert(art),
     )
-}
-
-/// Wall-clock record for one evaluated configuration.
-#[derive(Clone, Debug)]
-pub struct ConfigTiming {
-    /// Configuration label.
-    pub label: String,
-    /// Summed per-kernel wall-clock for this configuration, seconds.
-    pub secs: f64,
-    /// Per-kernel wall-clock `(kernel, seconds)`, suite order.
-    pub per_kernel: Vec<(&'static str, f64)>,
 }
 
 /// Runs (kernel × configuration) evaluations, caching results so
@@ -274,19 +254,18 @@ pub struct Sweep {
     scale: Scale,
     pool: Pool,
     cache: HashMap<String, Vec<EvalResult>>,
-    timings: Vec<ConfigTiming>,
 }
 
 impl Sweep {
     /// A sweep at the given scale.
     pub fn new(scale: Scale) -> Self {
-        Sweep { scale, pool: Pool::new(), cache: HashMap::new(), timings: Vec::new() }
+        Sweep { scale, pool: Pool::new(), cache: HashMap::new() }
     }
 
     /// A sweep with an explicit worker count (determinism tests force
     /// a single worker).
     pub fn with_workers(scale: Scale, workers: usize) -> Self {
-        Sweep { scale, pool: Pool::with_workers(workers), cache: HashMap::new(), timings: Vec::new() }
+        Sweep { scale, pool: Pool::with_workers(workers), cache: HashMap::new() }
     }
 
     /// The sweep's scale.
@@ -294,19 +273,13 @@ impl Sweep {
         self.scale
     }
 
-    /// Worker count of the underlying job pool.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
     /// Evaluate several labelled configurations in one batch.
     ///
     /// Every missing (configuration × kernel) pair becomes one job on
     /// the shared pool, so workers stay busy across configuration
     /// boundaries instead of draining one nine-job wave at a time.
-    /// Results land in the cache in suite order per label; per-job
-    /// wall-clock is recorded for `--timing` reports. Labels already
-    /// cached are skipped.
+    /// Results land in the cache in suite order per label. Labels
+    /// already cached are skipped.
     pub fn run_batch(&mut self, configs: &[(&str, SystemConfig)]) {
         let baseline_cfg = self.scale.baseline();
         let mut pending: Vec<(String, SystemConfig)> = Vec::new();
@@ -318,7 +291,6 @@ impl Sweep {
                 // The baseline doubles as the snapshot source for the
                 // similarity figures; share one simulation process-wide.
                 let art = baseline_artifacts(self.scale, SEED, self.scale.threads());
-                self.record_timing(label, &art.kernel_times);
                 self.cache.insert(label.to_string(), art.results.clone());
                 eprintln!("[sweep] finished configuration '{label}'");
                 continue;
@@ -338,12 +310,9 @@ impl Sweep {
                 jobs.push(move || evaluate_with_golden(kernel.as_ref(), cfg, threads, golden));
             }
         }
-        let (flat, report) = self.pool.run_report(jobs);
-        let mut flat = flat.into_iter();
-        let mut times = report.job_times.chunks_exact(kernels.len());
+        let mut flat = self.pool.run(jobs).into_iter();
         for (label, _) in &pending {
             let results: Vec<EvalResult> = flat.by_ref().take(kernels.len()).collect();
-            self.record_timing(label, times.next().expect("one time chunk per config"));
             self.cache.insert(label.clone(), results);
             eprintln!("[sweep] finished configuration '{label}'");
         }
@@ -372,12 +341,6 @@ impl Sweep {
         self.run("baseline", self.scale.baseline())
     }
 
-    /// Wall-clock records for every configuration evaluated so far, in
-    /// evaluation order.
-    pub fn timings(&self) -> &[ConfigTiming] {
-        &self.timings
-    }
-
     /// Iterate over every cached `(label, results)` pair, in label
     /// order. The cache is a `HashMap` whose iteration order is
     /// random per process; exports byte-diff runs against each other
@@ -387,22 +350,6 @@ impl Sweep {
         let mut labels: Vec<&String> = self.cache.keys().collect();
         labels.sort_unstable();
         labels.into_iter().map(|k| (k.as_str(), self.cache[k].as_slice()))
-    }
-
-    fn record_timing(&mut self, label: &str, times: &[Duration]) {
-        if self.timings.iter().any(|t| t.label == label) {
-            return;
-        }
-        let per_kernel: Vec<(&'static str, f64)> = kernel_names()
-            .iter()
-            .copied()
-            .zip(times.iter().map(Duration::as_secs_f64))
-            .collect();
-        self.timings.push(ConfigTiming {
-            label: label.to_string(),
-            secs: times.iter().map(Duration::as_secs_f64).sum(),
-            per_kernel,
-        });
     }
 }
 
@@ -526,8 +473,6 @@ mod tests {
             assert_eq!(a.llc, b.llc);
         }
         assert_eq!(batch.results("uni-d1/2").len(), 9);
-        assert_eq!(batch.timings().len(), 2);
-        assert!(batch.timings().iter().all(|t| t.per_kernel.len() == 9));
     }
 
     #[test]

@@ -21,21 +21,35 @@ pub mod json;
 pub mod meta;
 pub mod monitor;
 pub mod obs_export;
-pub mod peraccess;
 pub mod profile;
 pub mod results;
 pub mod sampled;
 pub mod serve;
 pub mod table;
-pub mod timing;
 
 pub use chart::{BarChart, Unit};
 pub use experiments::{kernel_names, suite, Scale, Sweep};
 pub use table::Table;
 
-/// Parse the common command-line flags (`--small`) of a bench binary.
+/// Parse the command line of a figure binary, whose only flag is
+/// `--small`. Anything else (a typo, a repeat, a stray value) prints
+/// usage and exits with [`argparse::USAGE_EXIT`] before any work starts.
 pub fn scale_from_args() -> Scale {
-    let small = std::env::args().any(|a| a == "--small");
+    let mut argv = std::env::args();
+    let bin = argv
+        .next()
+        .and_then(|a| Some(std::path::Path::new(&a).file_name()?.to_string_lossy().into_owned()))
+        .unwrap_or_default();
+    let mut small = false;
+    for arg in argv {
+        let parsed = match arg.as_str() {
+            "--small" => argparse::set_flag(&mut small, "--small"),
+            other => Err(format!("unknown argument '{other}'")),
+        };
+        if let Err(e) = parsed {
+            argparse::usage_error(&bin, &e, &format!("usage: {bin} [--small]"));
+        }
+    }
     if small {
         Scale::Small
     } else {

@@ -1,7 +1,7 @@
 //! Run metadata stamped into every exported artifact.
 //!
-//! `BENCH_repro.json` and `PROFILE_repro.json` are trajectory points:
-//! numbers measured on one revision, one machine, one thread count.
+//! `PROFILE_repro.json`, `MONITOR_serve.json` and the incident log are
+//! observations of one revision, one machine, one thread count.
 //! Without provenance they are uncomparable across runs, so every
 //! export leads with a `meta` object capturing the git revision, the
 //! effective worker count (the `DG_PAR_THREADS` override or the
@@ -27,14 +27,8 @@ pub struct RunMeta {
     /// Host `<arch>-<os>` pair, e.g. `x86_64-linux`.
     pub host: String,
     /// Active SIMD lane (`"avx2"`, `"sse2"` or `"scalar"` — the
-    /// resolved [`dg_simd::lane`], honouring `DG_SIMD`). Wall-clock
-    /// numbers are not comparable across lanes.
+    /// resolved [`dg_simd::lane`], honouring `DG_SIMD`).
     pub simd: &'static str,
-    /// Representative-interval count of a sampled run (`repro_all
-    /// --sampled[=K]`), absent for full-simulation exports. Sampled
-    /// numbers are estimates and must never be diffed against full
-    /// runs without this marker.
-    pub sampled: Option<u64>,
 }
 
 impl RunMeta {
@@ -51,15 +45,7 @@ impl RunMeta {
             },
             host: format!("{}-{}", std::env::consts::ARCH, std::env::consts::OS),
             simd: dg_simd::lane().name(),
-            sampled: None,
         }
-    }
-
-    /// Mark the export as coming from a K-interval sampled run.
-    #[must_use]
-    pub fn with_sampled(mut self, k: usize) -> Self {
-        self.sampled = Some(k as u64);
-        self
     }
 
     /// Render as a JSON object whose braces sit at `indent` two-space
@@ -72,9 +58,6 @@ impl RunMeta {
             .str_field("scale", self.scale)
             .str_field("host", &self.host)
             .str_field("simd", self.simd);
-        if let Some(k) = self.sampled {
-            o.u64_field("sampled", k);
-        }
         o.finish()
     }
 }
@@ -191,17 +174,6 @@ mod tests {
         assert!(parsed.get("git_sha").unwrap().as_str().is_some());
         let lane = parsed.get("simd").unwrap().as_str().unwrap();
         assert!(["scalar", "sse2", "avx2"].contains(&lane), "unexpected lane {lane}");
-    }
-
-    #[test]
-    fn sampled_marker_round_trips() {
-        let meta = RunMeta::capture(Scale::Medium).with_sampled(8);
-        let parsed = Json::parse(&meta.to_json(0)).unwrap();
-        assert_eq!(parsed.get("scale").unwrap().as_str(), Some("medium"));
-        assert_eq!(parsed.get("sampled").unwrap().as_u64(), Some(8));
-        // Full-simulation exports must not carry the marker at all.
-        let plain = Json::parse(&RunMeta::capture(Scale::Small).to_json(0)).unwrap();
-        assert!(plain.get("sampled").is_none());
     }
 
     #[test]

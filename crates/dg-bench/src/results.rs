@@ -2,8 +2,6 @@
 
 use crate::experiments::Sweep;
 use crate::json::{array_document, ObjectWriter};
-use crate::meta::RunMeta;
-use crate::peraccess::PerAccessRow;
 use dg_obs::Snapshot;
 use dg_system::{EvalResult, LlcCounters};
 use std::path::Path;
@@ -87,65 +85,6 @@ impl ResultRow {
     }
 }
 
-/// Export wall-clock records (the `--timing` flag of `repro_all`) as a
-/// pretty-printed `{meta, rows}` JSON object: run provenance (see
-/// [`RunMeta`]) followed by one row per (configuration, kernel), a
-/// `TOTAL` row per configuration, per-access microbenchmark rows (see
-/// [`crate::peraccess`]), and a closing `ALL`/`TOTAL` row with the
-/// process wall-clock and pool worker count. The stamp makes trajectory
-/// points attributable — wall-clock numbers are meaningless without the
-/// revision, thread count and host they were measured on.
-///
-/// # Errors
-///
-/// Returns any I/O error from writing `path`.
-pub fn export_timings(
-    sweep: &Sweep,
-    peraccess: &[PerAccessRow],
-    total_secs: f64,
-    path: &Path,
-) -> std::io::Result<()> {
-    let mut rows = Vec::new();
-    for t in sweep.timings() {
-        // Timings are only recorded for configurations that were run,
-        // so the cached results (suite order, like `per_kernel`) are
-        // always present; they carry the simulated access counts that
-        // normalise wall-clock to ns per simulated access.
-        let results = sweep.results(&t.label);
-        for ((kernel, secs), r) in t.per_kernel.iter().zip(results) {
-            debug_assert_eq!(*kernel, r.kernel, "timing rows out of sync with results");
-            let mut o = ObjectWriter::with_indent(1);
-            o.str_field("config", &t.label).str_field("kernel", kernel).f64_field("secs", *secs);
-            o.u64_field("accesses", r.accesses);
-            if r.accesses > 0 {
-                o.f64_field("ns_per_access", secs * 1e9 / r.accesses as f64);
-            }
-            rows.push(o.finish());
-        }
-        let mut o = ObjectWriter::with_indent(1);
-        o.str_field("config", &t.label).str_field("kernel", "TOTAL").f64_field("secs", t.secs);
-        rows.push(o.finish());
-    }
-    for p in peraccess {
-        let mut o = ObjectWriter::with_indent(1);
-        o.str_field("config", p.config)
-            .str_field("kernel", &format!("peraccess:{}", p.scenario))
-            .f64_field("ns_per_access", p.ns_per_access)
-            .f64_field("accesses_per_sec", p.accesses_per_sec);
-        rows.push(o.finish());
-    }
-    let mut o = ObjectWriter::with_indent(1);
-    o.str_field("config", "ALL")
-        .str_field("kernel", "TOTAL")
-        .f64_field("secs", total_secs)
-        .u64_field("workers", sweep.workers() as u64);
-    rows.push(o.finish());
-    let mut doc = ObjectWriter::with_indent(0);
-    doc.raw_field("meta", &RunMeta::capture(sweep.scale()).to_json(1))
-        .raw_field("rows", &array_document(&rows));
-    std::fs::write(path, doc.finish())
-}
-
 /// Export every cached run of a sweep as pretty-printed JSON.
 ///
 /// # Errors
@@ -186,33 +125,5 @@ mod tests {
         // the `llc.dopp.` prefix.
         assert!(arr[0].get("llc.lookups").unwrap().as_u64().unwrap() > 0);
         assert!(arr[0].get("llc.dopp.shared_insertions").is_some());
-    }
-
-    #[test]
-    fn timing_export_is_meta_stamped() {
-        let mut sweep = Sweep::new(Scale::Small);
-        sweep.baseline();
-        let dir = std::env::temp_dir().join("dg_bench_results_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("timings.json");
-        export_timings(&sweep, &[], 1.25, &path).unwrap();
-        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let meta = doc.get("meta").unwrap();
-        assert_eq!(meta.get("scale").unwrap().as_str(), Some("small"));
-        assert!(meta.get("git_sha").unwrap().as_str().is_some());
-        assert!(meta.get("threads").unwrap().as_u64().unwrap() > 0);
-        assert!(meta.get("host").unwrap().as_str().unwrap().contains('-'));
-        assert!(meta.get("simd").unwrap().as_str().is_some(), "meta must carry the SIMD lane");
-        let rows = doc.get("rows").unwrap().as_array().unwrap();
-        // 9 kernel rows + the per-config TOTAL + the ALL/TOTAL row.
-        assert_eq!(rows.len(), 11);
-        // Every kernel row normalises wall-clock by simulated accesses.
-        for row in &rows[..9] {
-            assert!(row.get("accesses").unwrap().as_u64().unwrap() > 0);
-            assert!(row.get("ns_per_access").unwrap().as_f64().is_some());
-        }
-        let last = rows.last().unwrap();
-        assert_eq!(last.get("config").unwrap().as_str(), Some("ALL"));
-        assert_eq!(last.get("secs").unwrap().as_f64(), Some(1.25));
     }
 }

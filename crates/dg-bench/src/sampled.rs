@@ -24,7 +24,6 @@
 use crate::check::check_configs;
 use crate::experiments::{suite, suite_goldens, Scale, SEED};
 use crate::json::{array_document, ObjectWriter};
-use crate::meta::RunMeta;
 use crate::results::ResultRow;
 use crate::table::Table;
 use dg_par::Pool;
@@ -33,7 +32,6 @@ use dg_system::{run_sampled, SampledOutcome};
 use dg_workloads::KernelSource;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Interval and warm-up lengths (in accesses) per scale. Longer traces
 /// afford longer intervals: the warm-up must amortise against the
@@ -61,8 +59,6 @@ pub struct SampledRun {
     pub kernel: &'static str,
     /// The reconstructed estimates.
     pub outcome: SampledOutcome,
-    /// Wall-clock of the hybrid execution, seconds.
-    pub secs: f64,
 }
 
 /// A full sampled sweep: the configuration grid × the suite.
@@ -76,8 +72,6 @@ pub struct SampledSweep {
     pub runs: Vec<SampledRun>,
     /// Worker threads of the job pool.
     pub workers: usize,
-    /// Wall-clock of the per-kernel profiling passes, seconds.
-    pub profile_secs: f64,
 }
 
 /// Profile every suite kernel (one functional streaming pass each) and
@@ -114,9 +108,7 @@ fn profiles_and_schedules(
 pub fn run_sampled_suite(scale: Scale, k: usize) -> SampledSweep {
     let threads = scale.threads();
     let pool = Pool::new();
-    let t0 = Instant::now();
     let (_, schedules) = profiles_and_schedules(scale, k, &pool);
-    let profile_secs = t0.elapsed().as_secs_f64();
     let kernels = suite(scale);
     let goldens = suite_goldens(scale, SEED, threads);
     let configs = check_configs(scale);
@@ -129,21 +121,15 @@ pub fn run_sampled_suite(scale: Scale, k: usize) -> SampledSweep {
             jobs.push(move || run_sampled(kernel.as_ref(), cfg, threads, &sched, &golden));
         }
     }
-    let (outcomes, report) = pool.run_report(jobs);
+    let mut outcomes = pool.run(jobs).into_iter();
     let mut runs = Vec::with_capacity(outcomes.len());
-    let mut it = outcomes.into_iter().zip(report.job_times);
     for &(label, _) in &configs {
         for kernel in kernels.iter() {
-            let (outcome, time) = it.next().expect("one outcome per job");
-            runs.push(SampledRun {
-                config: label,
-                kernel: kernel.name(),
-                outcome,
-                secs: time.as_secs_f64(),
-            });
+            let outcome = outcomes.next().expect("one outcome per job");
+            runs.push(SampledRun { config: label, kernel: kernel.name(), outcome });
         }
     }
-    SampledSweep { scale, k, runs, workers: pool.workers(), profile_secs }
+    SampledSweep { scale, k, runs, workers: pool.workers() }
 }
 
 /// Print the per-configuration summary of a sampled sweep: suite-mean
@@ -181,10 +167,7 @@ pub fn print_sampled_summary(sweep: &SampledSweep) {
             ],
         );
     }
-    t.print(&format!(
-        "Sampled estimates (K={}, {} workers, profiling {:.2}s)",
-        sweep.k, sweep.workers, sweep.profile_secs
-    ));
+    t.print(&format!("Sampled estimates (K={}, {} workers)", sweep.k, sweep.workers));
 }
 
 /// Export the sampled sweep's result rows as pretty-printed JSON.
@@ -220,58 +203,6 @@ pub fn export_sampled_rows(sweep: &SampledSweep, path: &Path) -> std::io::Result
         })
         .collect();
     std::fs::write(path, array_document(&rows))
-}
-
-/// Export wall-clock of the sampled sweep as `{meta, rows}` with the
-/// `sampled` marker in the provenance (the `--sampled --timing` path,
-/// same shape as [`crate::results::export_timings`]).
-///
-/// # Errors
-///
-/// Returns any I/O error from writing `path`.
-pub fn export_sampled_timings(
-    sweep: &SampledSweep,
-    total_secs: f64,
-    path: &Path,
-) -> std::io::Result<()> {
-    let mut rows = Vec::new();
-    for (label, _) in check_configs(sweep.scale) {
-        let mut config_secs = 0.0;
-        for run in sweep.runs.iter().filter(|r| r.config == label) {
-            config_secs += run.secs;
-            let mut o = ObjectWriter::with_indent(1);
-            o.str_field("config", label)
-                .str_field("kernel", run.kernel)
-                .f64_field("secs", run.secs)
-                .u64_field("accesses", run.outcome.result.accesses)
-                .u64_field("detailed_accesses", run.outcome.detailed_accesses);
-            if run.outcome.result.accesses > 0 {
-                o.f64_field(
-                    "ns_per_access",
-                    run.secs * 1e9 / run.outcome.result.accesses as f64,
-                );
-            }
-            rows.push(o.finish());
-        }
-        let mut o = ObjectWriter::with_indent(1);
-        o.str_field("config", label).str_field("kernel", "TOTAL").f64_field("secs", config_secs);
-        rows.push(o.finish());
-    }
-    let mut o = ObjectWriter::with_indent(1);
-    o.str_field("config", "PROFILE")
-        .str_field("kernel", "TOTAL")
-        .f64_field("secs", sweep.profile_secs);
-    rows.push(o.finish());
-    let mut o = ObjectWriter::with_indent(1);
-    o.str_field("config", "ALL")
-        .str_field("kernel", "TOTAL")
-        .f64_field("secs", total_secs)
-        .u64_field("workers", sweep.workers as u64);
-    rows.push(o.finish());
-    let mut doc = ObjectWriter::with_indent(0);
-    doc.raw_field("meta", &RunMeta::capture(sweep.scale).with_sampled(sweep.k).to_json(1))
-        .raw_field("rows", &array_document(&rows));
-    std::fs::write(path, doc.finish())
 }
 
 /// Absolute gate floors added to each estimate's confidence interval.
@@ -422,9 +353,9 @@ mod tests {
         for (label, cfg) in configs {
             let outcome =
                 run_sampled(kernels[0].as_ref(), cfg, threads, &schedules[0], &goldens[0]);
-            runs.push(SampledRun { config: label, kernel: kernels[0].name(), outcome, secs: 0.5 });
+            runs.push(SampledRun { config: label, kernel: kernels[0].name(), outcome });
         }
-        SampledSweep { scale, k: 3, runs, workers: pool.workers(), profile_secs: 0.25 }
+        SampledSweep { scale, k: 3, runs, workers: pool.workers() }
     }
 
     #[test]
@@ -447,19 +378,6 @@ mod tests {
         let p50 = arr[0].get("interval_cycles_p50").unwrap().as_f64().unwrap();
         let p99 = arr[0].get("interval_cycles_p99").unwrap().as_f64().unwrap();
         assert!(p50 <= p99);
-
-        let t_path = dir.join("timings.json");
-        export_sampled_timings(&sweep, 2.0, &t_path).unwrap();
-        let doc = Json::parse(&std::fs::read_to_string(&t_path).unwrap()).unwrap();
-        assert_eq!(doc.get("meta").unwrap().get("sampled").unwrap().as_u64(), Some(3));
-        let rows = doc.get("rows").unwrap().as_array().unwrap();
-        let last = rows.last().unwrap();
-        assert_eq!(last.get("config").unwrap().as_str(), Some("ALL"));
-        assert!(rows
-            .iter()
-            .any(|r| r.get("config").unwrap().as_str() == Some("PROFILE")));
-        let first = &rows[0];
-        assert!(first.get("detailed_accesses").unwrap().as_u64().unwrap() > 0);
     }
 
     #[test]

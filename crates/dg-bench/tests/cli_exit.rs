@@ -1,4 +1,4 @@
-//! Both bench binaries share one strict argument-parsing contract
+//! Every bench binary shares one strict argument-parsing contract
 //! (`dg_bench::argparse`): anything outside the closed flag set —
 //! typos, duplicates, missing values — must abort with usage on stderr
 //! and exit status 2 before any work starts. These tests pin the
@@ -42,4 +42,20 @@ fn serve_bench_rejects_unknown_and_duplicate_flags_with_exit_2() {
     assert_usage_exit(bin, &["--smoke", "--smoke"]);
     assert_usage_exit(bin, &["--validate"]);
     assert_usage_exit(bin, &["--json", "--smoke"]);
+    // The gate is the only mode: report flags are unknown and a run
+    // without `--check` is an error.
+    assert_usage_exit(bin, &["--smoke", "--check", "--json", "x"]);
+    assert_usage_exit(bin, &["--check", "--validate", "x"]);
+    assert_usage_exit(bin, &["--smoke"]);
+}
+
+#[test]
+fn figure_binaries_reject_typos_with_exit_2() {
+    // A typo must not fall back to the minutes-long paper-scale run.
+    assert_usage_exit(env!("CARGO_BIN_EXE_fig09_mapspace_perf"), &["--smal"]);
+}
+
+#[test]
+fn sweep_mapspace_rejects_a_missing_kernel_value_with_exit_2() {
+    assert_usage_exit(env!("CARGO_BIN_EXE_sweep_mapspace"), &["--small", "--kernel"]);
 }

@@ -18,8 +18,9 @@
 //!    worker steals from the busiest-looking victim, which keeps the
 //!    pool busy under heavily skewed job sizes (a `canneal` evaluation
 //!    costs many times a `blackscholes` one).
-//! 4. **Per-job timing hooks** — every job's wall-clock is recorded,
-//!    feeding the `--timing` benchmark trajectory in `repro_all`.
+//! 4. **Per-job timing hooks** — [`Pool::run_report`] records every
+//!    job's wall-clock and the batch's steals, which the `sim_sweep_paper`
+//!    workload of `benchmark/` turns into `dg-par.sweep_efficiency`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

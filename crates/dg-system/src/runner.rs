@@ -14,8 +14,8 @@ pub struct EvalResult {
     /// Total simulated instructions across cores.
     pub instructions: u64,
     /// Core memory accesses (loads + stores) across cores — the
-    /// denominator for per-access wall-clock normalisation in timing
-    /// exports.
+    /// denominator for per-access wall-clock normalisation in
+    /// `benchmark/`.
     pub accesses: u64,
     /// Application output error vs. the precise golden run (0–1).
     pub output_error: f64,

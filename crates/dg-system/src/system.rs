@@ -43,7 +43,7 @@ pub struct System {
     /// Core memory accesses (loads + stores) across all cores.
     /// Observation-only — never read by the simulation and not part of
     /// any oracle-compared snapshot; feeds the per-access wall-clock
-    /// normalisation in `dg-bench` timing exports.
+    /// normalisation in `benchmark/`.
     accesses: u64,
     off_chip_reads: u64,
     back_invalidations: u64,

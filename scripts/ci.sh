@@ -7,8 +7,9 @@
 # benchmark smoke run checked against benchmark/golden/* +
 # hermeticity + differential oracle on both the SIMD and scalar lanes +
 # byte-diff of deterministic exports across DG_SIMD lanes +
-# repro/profile smoke + concurrent serve smoke with its analytic
-# hit-rate gate + monitored-serve smoke asserting the telemetry plane
+# the paper-claims gate (validate_repro --small) + profile smoke +
+# the concurrent server's analytic hit-rate gate +
+# monitored-serve smoke asserting the telemetry plane
 # flags an injected anomaly without steady-state false positives +
 # sampled-simulation gate against full-coverage references with
 # byte-diff determinism across runs and worker counts)
