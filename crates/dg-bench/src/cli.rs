@@ -51,7 +51,7 @@ impl ReproArgs {
                                      --small          reduced-scale run (small kernels, scaled-down caches)\n\
                                      --medium         ~10x the small access count on the same caches\n\
                                      --check          run the differential-oracle gate instead of the figures\n\
-                                     --sampled[=K]    sampled run: K representative intervals per kernel\n\
+                                     --sampled[=K]    sampled run: K >= 2 representative intervals per kernel\n\
                                      --sampled-check  gate sampled estimates against full-coverage references\n\
                                      --profile[=PATH] profiled run; writes PROFILE_repro.json (or PATH)\n\
                                      --json PATH      export every evaluation as JSON result rows";
@@ -83,11 +83,10 @@ impl ReproArgs {
                     if let Some(path) = inline_value(other, "--profile")? {
                         set_value(&mut out.profile, "--profile", path.into())?;
                     } else if let Some(k) = inline_value(other, "--sampled")? {
-                        let k: usize = k
-                            .parse()
-                            .ok()
-                            .filter(|&k| k > 0)
-                            .ok_or(format!("--sampled={k} is not a positive interval count"))?;
+                        let k: usize = k.parse().ok().filter(|&k| k >= 2).ok_or(format!(
+                            "--sampled={k} is not an interval count of at least 2 \
+                             (the final interval is always one of them)"
+                        ))?;
                         set_sampled(&mut out.sampled, k)?;
                     } else {
                         return Err(format!("unknown argument '{other}'"));
@@ -245,6 +244,8 @@ mod tests {
         assert_eq!(parse(&["--sampled-check", "--sampled=4"]).unwrap().sampled_k(), 4);
 
         assert!(parse(&["--sampled=0"]).is_err(), "K must be positive");
+        assert!(parse(&["--sampled=1"]).is_err(), "K = 1 cannot pin the tail");
+        assert_eq!(parse(&["--sampled=2"]).unwrap().sampled, Some(2));
         assert!(parse(&["--sampled=abc"]).is_err());
         assert!(parse(&["--sampled="]).is_err());
         assert!(parse(&["--sampled", "--sampled=3"]).is_err(), "duplicate");

@@ -32,6 +32,7 @@ fn repro_all_rejects_unknown_and_duplicate_flags_with_exit_2() {
     assert_usage_exit(bin, &["--small", "--small"]);
     assert_usage_exit(bin, &["--json"]);
     assert_usage_exit(bin, &["--sampled=0"]);
+    assert_usage_exit(bin, &["--sampled=1"]);
     assert_usage_exit(bin, &["--small", "--medium"]);
 }
 

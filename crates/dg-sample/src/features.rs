@@ -2,7 +2,8 @@
 
 use dg_mem::{AccessKind, TraceStream};
 use dg_obs::Hist64;
-use dg_par::FxHashSet;
+use dg_par::FxHashMap;
+use std::collections::hash_map::Entry;
 
 /// Feature summary of one fixed-length interval of the access stream.
 ///
@@ -96,9 +97,9 @@ pub struct Profile {
 
 /// One streaming pass over `stream`, computing per-interval features.
 ///
-/// Memory use is bounded by the trace's block working set (for the
-/// new-block tracking) plus one interval's distinct-block set — no
-/// access records are retained.
+/// Memory use is bounded by the trace's block working set (one entry
+/// per block, holding the last interval that touched it) — no access
+/// records are retained.
 ///
 /// # Panics
 ///
@@ -106,8 +107,10 @@ pub struct Profile {
 pub fn profile<S: TraceStream + ?Sized>(stream: &mut S, interval_len: u64) -> Profile {
     assert!(interval_len > 0, "interval length must be positive");
     let mut intervals: Vec<IntervalFeatures> = Vec::new();
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
-    let mut current: FxHashSet<u64> = FxHashSet::default();
+    // Block → index of the last interval that touched it: one probe per
+    // access answers both "new to the trace" (vacant) and "new to this
+    // interval" (an older index).
+    let mut last_touch: FxHashMap<u64, u64> = FxHashMap::default();
     let mut cur_idx: u64 = 0;
     let mut cur = IntervalFeatures::empty();
     let mut total: u64 = 0;
@@ -116,9 +119,7 @@ pub fn profile<S: TraceStream + ?Sized>(stream: &mut S, interval_len: u64) -> Pr
         for (off, (_core, a)) in chunk.iter().enumerate() {
             let idx = base + off as u64;
             while idx / interval_len > cur_idx {
-                cur.distinct_blocks = current.len() as u64;
                 intervals.push(std::mem::replace(&mut cur, IntervalFeatures::empty()));
-                current.clear();
                 cur_idx += 1;
             }
             total = total.max(idx + 1);
@@ -134,15 +135,22 @@ pub fn profile<S: TraceStream + ?Sized>(stream: &mut S, interval_len: u64) -> Pr
                 }
             }
             cur.think += a.think as u64;
-            let block = a.addr.block().0;
-            current.insert(block);
-            if seen.insert(block) {
-                cur.new_blocks += 1;
+            match last_touch.entry(a.addr.block().0) {
+                Entry::Vacant(e) => {
+                    e.insert(cur_idx);
+                    cur.new_blocks += 1;
+                    cur.distinct_blocks += 1;
+                }
+                Entry::Occupied(mut e) => {
+                    if *e.get() != cur_idx {
+                        e.insert(cur_idx);
+                        cur.distinct_blocks += 1;
+                    }
+                }
             }
         }
     });
     if cur.accesses > 0 {
-        cur.distinct_blocks = current.len() as u64;
         intervals.push(cur);
     }
     // Grown by doubling; the profile is kept for as long as its

@@ -61,9 +61,22 @@ impl SampleSchedule {
     /// medoids cluster the body intervals (weights scaled by
     /// `(m−1)/m`), keeping the weights an exact partition of the
     /// trace.
+    ///
+    /// For a profile of `m` intervals:
+    ///
+    /// - `m = 0`: no intervals; the schedule measures nothing.
+    /// - `m = 1`: the one interval, which is also the tail, weight 1.
+    /// - `k ≥ m`: every interval, each its own cluster (weights `1/m`
+    ///   to rounding) — the full-coverage schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`, or if `k == 1` and `m ≥ 2`: one interval
+    /// cannot be both the pinned tail and the body's representative.
     pub fn build(profile: &Profile, k: usize, warmup_len: u64, seed: u64) -> SampleSchedule {
         let m = profile.intervals.len();
-        let intervals = if m >= 2 && k >= 2 && k <= m {
+        assert!(k >= 2 || (k == 1 && m <= 1), "k = {k} cannot pin the tail of {m} intervals");
+        let intervals = if m >= 2 && k <= m {
             let body = Profile {
                 interval_len: profile.interval_len,
                 total_accesses: profile.total_accesses,
@@ -159,6 +172,76 @@ mod tests {
                     cluster_size,
                 })
                 .collect(),
+        }
+    }
+
+    /// A profile of `m` intervals with distinct load mixes.
+    fn profile_of(m: usize) -> Profile {
+        use crate::features::{IntervalFeatures, VALUE_BINS};
+        let intervals = (0..m as u64)
+            .map(|i| IntervalFeatures {
+                accesses: 100,
+                loads: (i * 37) % 101,
+                stores: 100 - (i * 37) % 101,
+                approx: i % 3,
+                think: 0,
+                distinct_blocks: 10 + i % 7,
+                new_blocks: i % 5,
+                value_bins: [0; VALUE_BINS],
+            })
+            .collect();
+        Profile { interval_len: 100, total_accesses: 100 * m as u64, intervals }
+    }
+
+    fn picked(s: &SampleSchedule) -> Vec<(usize, usize)> {
+        s.intervals.iter().map(|i| (i.index, i.cluster_size)).collect()
+    }
+
+    #[test]
+    fn empty_profile_builds_an_empty_schedule() {
+        for k in [1, 2, 8] {
+            let s = SampleSchedule::build(&profile_of(0), k, 50, 1);
+            assert!(s.intervals.is_empty());
+            assert!(s.regions().is_empty());
+            assert_eq!(s.measured_fraction(), 0.0);
+        }
+    }
+
+    #[test]
+    fn single_interval_is_the_tail_with_weight_one() {
+        for k in [1, 2, 8] {
+            let s = SampleSchedule::build(&profile_of(1), k, 50, 1);
+            assert_eq!(picked(&s), [(0, 1)]);
+            assert_eq!(s.intervals[0].weight, 1.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot pin the tail")]
+    fn k_of_one_cannot_pin_the_tail_of_a_longer_trace() {
+        SampleSchedule::build(&profile_of(5), 1, 50, 1);
+    }
+
+    #[test]
+    fn k_at_least_m_selects_every_interval() {
+        for (m, k) in [(2, 2), (5, 5), (5, 6), (5, 40)] {
+            let s = SampleSchedule::build(&profile_of(m), k, 0, 1);
+            assert_eq!(picked(&s), (0..m).map(|i| (i, 1)).collect::<Vec<_>>(), "m={m} k={k}");
+            let sum: f64 = s.intervals.iter().map(|i| i.weight).sum();
+            assert!((sum - 1.0).abs() <= f64::EPSILON, "m={m} k={k}: weights sum to {sum}");
+            assert_eq!(s.measured_fraction(), 1.0);
+        }
+    }
+
+    #[test]
+    fn the_tail_is_pinned_below_m() {
+        let m = 12;
+        for k in 2..m {
+            let s = SampleSchedule::build(&profile_of(m), k, 0, 1);
+            assert_eq!(s.intervals.last().map(|i| (i.index, i.cluster_size)), Some((m - 1, 1)));
+            assert_eq!(s.intervals.last().unwrap().weight, 1.0 / m as f64);
+            let covered: usize = s.intervals.iter().map(|i| i.cluster_size).sum();
+            assert_eq!(covered, m, "k={k}");
         }
     }
 

@@ -1,9 +1,9 @@
 //! Property tests for interval selection (dg-check harness).
 //!
 //! These pin the two contracts the sampled-simulation pipeline depends
-//! on: selection is bit-identical regardless of the `DG_PAR_THREADS`
-//! worker count (the whole pipeline is serial by construction, and this
-//! test keeps it that way), and reconstruction weights always sum to 1
+//! on: selection is bit-identical regardless of the worker count of the
+//! pool it runs on (the whole pipeline is serial by construction, and
+//! this test keeps it that way), and reconstruction weights always sum to 1
 //! within 1 ulp — including on adversarial phase-free (every interval
 //! different) and single-phase (every interval identical) traces.
 
@@ -11,6 +11,7 @@ use dg_check::{props, vec};
 use dg_obs::Hist64;
 use dg_sample::{profile, select, IntervalFeatures, Profile, SampleSchedule, VALUE_BINS};
 use dg_mem::{Addr, SynthPattern, SynthStream, TenantSpec};
+use dg_par::Pool;
 
 /// A synthetic interval profile built directly from generated feature
 /// values; `phase_free = true` gives every interval distinct features,
@@ -52,43 +53,42 @@ fn build_profile(rows: &[(u32, u32, u32, u64)], single_phase: bool) -> Profile {
 props! {
     cases = 12;
 
-    /// Same seed ⇒ bit-identical selection and schedule across
-    /// DG_PAR_THREADS ∈ {1, 4}: the profile → select → schedule
-    /// pipeline is serial and must not observe worker-pool settings.
-    fn selection_ignores_worker_count(seed in 0u64..1 << 40, k in 1usize..9) {
-        let run = |threads: &str| {
-            std::env::set_var("DG_PAR_THREADS", threads);
-            let mut s = SynthStream::new(
-                vec![
-                    TenantSpec {
-                        base: Addr(0x1_0000),
-                        blocks: 512,
-                        pattern: SynthPattern::Zipf { theta: 0.9 },
-                        store_sixteenths: 6,
-                        approx: true,
-                    },
-                    TenantSpec {
-                        base: Addr(0x200_0000),
-                        blocks: 1024,
-                        pattern: SynthPattern::Uniform,
-                        store_sixteenths: 2,
-                        approx: false,
-                    },
-                ],
-                24_000,
-                seed,
-            );
-            let p = profile(&mut s, 1024);
-            let sel = select(&p, k, seed);
-            let sched = SampleSchedule::build(&p, k, 512, seed);
-            std::env::remove_var("DG_PAR_THREADS");
-            (sel, sched)
+    /// Same seed ⇒ bit-identical selection and schedule whether the
+    /// pipeline's jobs run on one worker or on four: profile → select →
+    /// schedule is serial and must not observe the pool it runs on.
+    fn selection_ignores_worker_count(seed in 0u64..1 << 40, k in 2usize..9) {
+        let pipeline = |salt: u64| {
+            move || {
+                let mut s = SynthStream::new(
+                    vec![
+                        TenantSpec {
+                            base: Addr(0x1_0000),
+                            blocks: 512,
+                            pattern: SynthPattern::Zipf { theta: 0.9 },
+                            store_sixteenths: 6,
+                            approx: true,
+                        },
+                        TenantSpec {
+                            base: Addr(0x200_0000),
+                            blocks: 1024,
+                            pattern: SynthPattern::Uniform,
+                            store_sixteenths: 2,
+                            approx: false,
+                        },
+                    ],
+                    24_000,
+                    seed ^ salt,
+                );
+                let p = profile(&mut s, 1024);
+                (select(&p, k, seed), SampleSchedule::build(&p, k, 512, seed))
+            }
         };
-        let (sel_1, sched_1) = run("1");
-        let (sel_4, sched_4) = run("4");
-        assert_eq!(sel_1, sel_4, "selection must not depend on DG_PAR_THREADS");
-        assert_eq!(sched_1, sched_4);
-        assert_eq!(sched_1.regions(), sched_4.regions());
+        let run = |workers| Pool::with_workers(workers).run((0..4).map(pipeline).collect());
+        let (serial, parallel) = (run(1), run(4));
+        assert_eq!(serial, parallel, "selection must not depend on the worker count");
+        for ((_, a), (_, b)) in serial.iter().zip(&parallel) {
+            assert_eq!(a.regions(), b.regions());
+        }
     }
 }
 
