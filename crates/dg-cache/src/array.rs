@@ -15,10 +15,10 @@ use crate::{CacheGeometry, Lru, Replacer};
 /// use dg_cache::{CacheGeometry, TagArray};
 /// let mut arr: TagArray<u64> = TagArray::new(CacheGeometry::from_entries(8, 2));
 /// let set = 0;
-/// assert!(arr.find(set, |&e| e == 99).is_none());
-/// let (way, evicted) = arr.insert(set, 99);
-/// assert!(evicted.is_none());
-/// assert_eq!(arr.find(set, |&e| e == 99), Some(way));
+/// assert!(arr.find_keyed(set, 99, |&e| e == 99).is_none());
+/// let way = arr.victim_way(set);
+/// assert!(arr.insert_at_keyed(set, way, 99, 99).is_none());
+/// assert_eq!(arr.find_keyed(set, 99, |&e| e == 99), Some(way));
 /// ```
 #[derive(Debug)]
 pub struct TagArray<E, R: Replacer = Lru> {
@@ -88,30 +88,16 @@ impl<E, R: Replacer> TagArray<E, R> {
         self.entries[slot].as_mut()
     }
 
-    /// Find the way in `set` whose entry satisfies `pred`.
+    /// Find the lowest way in `set` whose entry was inserted with `key`
+    /// and satisfies `pred`.
     ///
-    /// Does not touch replacement state (lookups that should count as
-    /// uses must call [`TagArray::touch`]).
-    pub fn find(&self, set: usize, pred: impl Fn(&E) -> bool) -> Option<usize> {
-        // One bounds check for the whole set instead of one per way —
-        // this is the innermost loop of every simulated memory access.
-        let ways = self.geom.ways();
-        let base = set * ways;
-        self.entries[base..base + ways]
-            .iter()
-            .position(|e| e.as_ref().is_some_and(&pred))
-    }
-
-    /// Find the way in `set` whose entry was inserted with `key` and
-    /// satisfies `pred`.
-    ///
-    /// Fast-path variant of [`TagArray::find`] for arrays whose entries
-    /// are inserted via [`TagArray::insert_at_keyed`]: the scan strides
-    /// over the dense 8-byte key lane instead of the full entries, and
-    /// only candidate ways (key match) load the entry to run `pred`.
-    /// `pred` remains the source of truth, so the result is identical
-    /// to `find` as long as every entry `pred` would accept carries
-    /// `key` in the key lane (the keyed-insert invariant).
+    /// The scan strides over the dense 8-byte key lane instead of the
+    /// full entries, and only candidate ways (key match) load the entry
+    /// to run `pred`. `pred` remains the source of truth, so the result
+    /// is the lowest valid way `pred` accepts as long as every such
+    /// entry carries `key` in the key lane (the keyed-insert
+    /// invariant). Does not touch replacement state (lookups that
+    /// should count as uses must call [`TagArray::touch`]).
     pub fn find_keyed(&self, set: usize, key: u64, pred: impl Fn(&E) -> bool) -> Option<usize> {
         let ways = self.geom.ways();
         let base = set * ways;
@@ -132,9 +118,10 @@ impl<E, R: Replacer> TagArray<E, R> {
         None
     }
 
-    /// Insert `entry` at an explicit `(set, way)` and record `key` in
-    /// the key lane for [`TagArray::find_keyed`], returning the
-    /// displaced entry (if any).
+    /// Insert `entry` at an explicit `(set, way)` — usually
+    /// [`TagArray::victim_way`] — and record `key` in the key lane for
+    /// [`TagArray::find_keyed`], returning the displaced entry (if any).
+    /// The new entry becomes the most recently used.
     pub fn insert_at_keyed(&mut self, set: usize, way: usize, key: u64, entry: E) -> Option<E> {
         let slot = self.slot(set, way);
         self.keys[slot] = key;
@@ -161,28 +148,6 @@ impl<E, R: Replacer> TagArray<E, R> {
         (0..self.geom.ways())
             .find(|&w| self.get(set, w).is_none())
             .expect("occupancy below associativity implies an invalid way")
-    }
-
-    /// Insert `entry` into `set`, evicting if the set is full.
-    ///
-    /// Returns the chosen way and the displaced entry (if any). The new
-    /// entry becomes the most recently used.
-    pub fn insert(&mut self, set: usize, entry: E) -> (usize, Option<E>) {
-        let way = self.victim_way(set);
-        (way, self.insert_at(set, way, entry))
-    }
-
-    /// Insert `entry` at an explicit `(set, way)`, returning the
-    /// displaced entry (if any).
-    pub fn insert_at(&mut self, set: usize, way: usize, entry: E) -> Option<E> {
-        let slot = self.slot(set, way);
-        let old = self.entries[slot].replace(entry);
-        if old.is_none() {
-            self.occ[set] += 1;
-            self.valid += 1;
-        }
-        self.policy.fill(set, way);
-        old
     }
 
     /// Invalidate `(set, way)`, returning the removed entry.
@@ -247,11 +212,21 @@ mod tests {
         TagArray::new(CacheGeometry::from_entries(8, 4)) // 2 sets x 4 ways
     }
 
+    /// Insert `v`, keyed by itself, at `set`'s victim way.
+    fn put(a: &mut TagArray<u64>, set: usize, v: u64) -> (usize, Option<u64>) {
+        let way = a.victim_way(set);
+        (way, a.insert_at_keyed(set, way, v, v))
+    }
+
+    fn find(a: &TagArray<u64>, set: usize, v: u64) -> Option<usize> {
+        a.find_keyed(set, v, |&e| e == v)
+    }
+
     #[test]
     fn insert_prefers_invalid_ways() {
         let mut a = small();
-        let (w0, e0) = a.insert(0, 10);
-        let (w1, e1) = a.insert(0, 11);
+        let (w0, e0) = put(&mut a, 0, 10);
+        let (w1, e1) = put(&mut a, 0, 11);
         assert_ne!(w0, w1);
         assert!(e0.is_none() && e1.is_none());
         assert_eq!(a.occupancy(0), 2);
@@ -261,12 +236,12 @@ mod tests {
     fn full_set_evicts_lru() {
         let mut a = small();
         for v in 0..4 {
-            a.insert(0, v);
+            put(&mut a, 0, v);
         }
         // Touch 0 so entry value 0 is MRU; LRU is value 1.
-        let way0 = a.find(0, |&e| e == 0).unwrap();
+        let way0 = find(&a, 0, 0).unwrap();
         a.touch(0, way0);
-        let (_, evicted) = a.insert(0, 99);
+        let (_, evicted) = put(&mut a, 0, 99);
         assert_eq!(evicted, Some(1));
         assert_eq!(a.occupancy(0), 4);
     }
@@ -274,16 +249,16 @@ mod tests {
     #[test]
     fn find_and_get() {
         let mut a = small();
-        a.insert(1, 42);
-        let w = a.find(1, |&e| e == 42).unwrap();
+        put(&mut a, 1, 42);
+        let w = find(&a, 1, 42).unwrap();
         assert_eq!(a.get(1, w), Some(&42));
-        assert!(a.find(0, |&e| e == 42).is_none());
+        assert!(find(&a, 0, 42).is_none());
     }
 
     #[test]
     fn invalidate_frees_way() {
         let mut a = small();
-        let (w, _) = a.insert(0, 5);
+        let (w, _) = put(&mut a, 0, 5);
         assert_eq!(a.invalidate(0, w), Some(5));
         assert_eq!(a.invalidate(0, w), None);
         assert_eq!(a.occupancy(0), 0);
@@ -293,8 +268,8 @@ mod tests {
     #[test]
     fn iter_reports_positions() {
         let mut a = small();
-        a.insert(0, 1);
-        a.insert(1, 2);
+        put(&mut a, 0, 1);
+        put(&mut a, 1, 2);
         let mut items: Vec<(usize, u64)> = a.iter().map(|(s, _, &e)| (s, e)).collect();
         items.sort_unstable();
         assert_eq!(items, vec![(0, 1), (1, 2)]);
@@ -304,25 +279,26 @@ mod tests {
     #[test]
     fn iter_mut_mutates_in_place() {
         let mut a = small();
-        a.insert(0, 1);
+        let (w, _) = put(&mut a, 0, 1);
         for (_, _, e) in a.iter_mut() {
             *e += 100;
         }
-        assert!(a.find(0, |&e| e == 101).is_some());
+        assert_eq!(a.get(0, w), Some(&101));
     }
 
     #[test]
     fn insert_at_explicit_position() {
         let mut a = small();
-        assert!(a.insert_at(1, 3, 7).is_none());
+        assert!(a.insert_at_keyed(1, 3, 7, 7).is_none());
         assert_eq!(a.get(1, 3), Some(&7));
-        assert_eq!(a.insert_at(1, 3, 8), Some(7));
+        assert_eq!(a.insert_at_keyed(1, 3, 8, 8), Some(7));
+        assert_eq!(find(&a, 1, 8), Some(3));
     }
 
     #[test]
     fn clear_empties() {
         let mut a = small();
-        a.insert(0, 1);
+        put(&mut a, 0, 1);
         a.clear();
         assert!(a.is_empty());
     }
@@ -330,7 +306,7 @@ mod tests {
     #[test]
     fn mutation_via_get_mut() {
         let mut a = small();
-        let (w, _) = a.insert(0, 1);
+        let (w, _) = put(&mut a, 0, 1);
         *a.get_mut(0, w).unwrap() = 9;
         assert_eq!(a.get(0, w), Some(&9));
     }

@@ -25,7 +25,9 @@ pub struct Evicted {
     pub addr: BlockAddr,
     /// Whether the block must be written back.
     pub dirty: bool,
-    /// The displaced block's contents.
+    /// The displaced block's contents. Meaningful only when `dirty`:
+    /// [`ConventionalCache::fill`] never copies out a clean victim's
+    /// bytes.
     pub data: BlockData,
 }
 
@@ -272,50 +274,23 @@ impl<R: Replacer> ConventionalCache<R> {
     }
 
     /// Insert a clean copy of `addr` (a fill from the next level),
-    /// evicting if needed.
+    /// evicting if needed: [`Self::fill_ref_lazy`] with the victim
+    /// returned by value. Its `data` is copied out only when it is dirty.
     pub fn fill(&mut self, addr: BlockAddr, data: BlockData) -> Option<Evicted> {
-        self.fill_with(addr, data, false)
+        let mut victim = BlockData::zeroed();
+        let (addr, dirty) = self.fill_ref_lazy(addr, &data, &mut victim)?;
+        Some(Evicted { addr, dirty, data: victim })
     }
 
-    /// Insert `addr` with an explicit dirty bit, evicting if needed.
+    /// Insert a clean copy of `addr`, evicting if needed, and report the
+    /// victim's address and dirty bit. Its 64 bytes are copied into
+    /// `victim_buf` only when dirty — clean victims need no writeback,
+    /// so their data is never read. A block that must land dirty is
+    /// filled and then marked ([`Self::mark_dirty`]).
     ///
     /// Fills must be misses: filling a resident block panics in debug
     /// builds (release builds skip the check — it would re-scan the set
     /// on every fill, and all hierarchy callers fill only after a miss).
-    pub fn fill_with(&mut self, addr: BlockAddr, data: BlockData, dirty: bool) -> Option<Evicted> {
-        self.fill_ref(addr, &data, dirty)
-    }
-
-    /// [`Self::fill_with`] taking the block by reference — the hierarchy
-    /// fills the same data into several levels per miss, and this form
-    /// copies the 64 bytes once into the chosen slot (and reads the old
-    /// slot only when a victim is actually displaced).
-    pub fn fill_ref(&mut self, addr: BlockAddr, data: &BlockData, dirty: bool) -> Option<Evicted> {
-        debug_assert!(self.locate(addr).is_none(), "fill of a resident block");
-        let geom = *self.array.geometry();
-        let set = geom.set_of(addr);
-        let line = Line { tag: geom.tag_of(addr), dirty };
-        self.stats.record_insertion();
-        let way = self.array.victim_way(set);
-        let old = self.array.insert_at_keyed(set, way, line.tag, line);
-        self.mru[set] = way as u32;
-        let slot = self.slot(set, way);
-        let out = old.map(|l| {
-            self.stats.record_eviction(l.dirty);
-            Evicted { addr: geom.block_addr(l.tag, set), dirty: l.dirty, data: self.data[slot] }
-        });
-        self.data[slot].copy_from(data);
-        if enabled(Level::Metrics) {
-            self.record_occupancy(set);
-        }
-        out
-    }
-
-    /// Clean fill for the private-level hot path: reports the victim's
-    /// address and dirty bit, copying its 64 bytes into `victim_buf`
-    /// only when dirty — clean victims need no writeback, so their data
-    /// is never read. Same insertion/eviction stats and LRU effects as
-    /// [`Self::fill`].
     pub fn fill_ref_lazy(
         &mut self,
         addr: BlockAddr,

@@ -492,7 +492,7 @@ impl CompressedCache {
     /// to `emit` in eviction order.
     ///
     /// Fills must be misses: filling a resident block panics in debug
-    /// builds, mirroring [`crate::ConventionalCache::fill_ref`].
+    /// builds, mirroring [`crate::ConventionalCache::fill_ref_lazy`].
     pub fn fill(
         &mut self,
         addr: BlockAddr,

@@ -120,18 +120,20 @@ props! {
     }
 
     /// A TagArray never reports more occupancy than its associativity,
-    /// and `find` only succeeds for entries that were inserted and not
-    /// displaced or invalidated.
+    /// and `find_keyed` only succeeds for entries that were inserted
+    /// and not displaced or invalidated.
     fn tag_array_occupancy_bounds(ops in vec((0u64..64, any::<bool>()), 1..200)) {
         let geom = CacheGeometry::from_entries(16, 4);
         let mut arr: TagArray<u64> = TagArray::new(geom);
         for (tag, insert) in ops {
             let set = (tag % 4) as usize;
+            let found = arr.find_keyed(set, tag, |&e| e == tag);
             if insert {
-                if arr.find(set, |&e| e == tag).is_none() {
-                    arr.insert(set, tag);
+                if found.is_none() {
+                    let way = arr.victim_way(set);
+                    arr.insert_at_keyed(set, way, tag, tag);
                 }
-            } else if let Some(way) = arr.find(set, |&e| e == tag) {
+            } else if let Some(way) = found {
                 arr.invalidate(set, way);
             }
             assert!(arr.occupancy(set) <= 4);
@@ -151,7 +153,8 @@ props! {
             if cache.contains(addr) {
                 cache.write(addr, blk(v));
             } else {
-                cache.fill_with(addr, blk(v), true);
+                cache.fill(addr, blk(v));
+                cache.mark_dirty(addr);
             }
             last_write.insert(a, v);
         }
@@ -195,9 +198,13 @@ props! {
                 2 => assert_eq!(cache.write(addr, blk(v)), model.write(addr, blk(v))),
                 3 => {
                     if !cache.contains(addr) {
+                        // A victim's bytes are reported only when dirty.
                         let ev = cache.fill(addr, blk(v));
                         let want = model.fill(addr, blk(v));
-                        assert_eq!(ev.map(|e| (e.addr, e.dirty, e.data)), want);
+                        assert_eq!(
+                            ev.map(|e| (e.addr, e.dirty, e.dirty.then_some(e.data))),
+                            want.map(|(a, d, b)| (a, d, d.then_some(b))),
+                        );
                     }
                 }
                 _ => {

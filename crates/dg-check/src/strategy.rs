@@ -246,7 +246,7 @@ impl LenSpec for Range<usize> {
 }
 
 /// Strategy for vectors of another strategy's values; build with
-/// [`vec`].
+/// [`vec()`].
 pub struct VecStrategy<S, L> {
     element: S,
     len: L,

@@ -15,8 +15,8 @@
 //!   any interval is O(chunk) instead of O(prefix): chunk `c`'s content
 //!   is a pure function of `(spec, seed, c)` and never depends on the
 //!   draws of earlier chunks.
-//! * [`materialize`]'s inverse, [`stream_trace`] — an adapter over an
-//!   already-materialized [`Trace`] (round-robin interleaved order),
+//! * [`stream_trace`] — an adapter over an already-materialized
+//!   [`Trace`] (round-robin interleaved order),
 //!   for tests and for replaying captured traces through stream-based
 //!   consumers.
 //! * `dg-workloads`' `KernelSource` — streams a workload kernel's

@@ -2,7 +2,7 @@
 //!
 //! The simulator's inner loops hash small fixed-width keys — block
 //! addresses in the coherence directory, 64-byte-aligned addresses in
-//! [`MemoryImage`] — millions of times per run. `std`'s default SipHash
+//! `dg_mem::MemoryImage` — millions of times per run. `std`'s default SipHash
 //! is DoS-resistant but pays for it with ~1ns+ per small key; none of
 //! these maps are exposed to untrusted input, so we trade that
 //! resistance for speed with the multiply-rotate hash used by the

@@ -8,7 +8,7 @@
 //! in the spirit of SimPoint-style interval clustering:
 //!
 //! 1. [`profile`] makes one cheap functional pass over a
-//!    [`TraceStream`], splitting the access index space into fixed
+//!    [`TraceStream`](dg_mem::TraceStream), splitting the access index space into fixed
 //!    length intervals and computing an [`IntervalFeatures`] vector per
 //!    interval (access-type mix, working-set size and delta, log2
 //!    value-bin histogram of approximate store payloads — a proxy for

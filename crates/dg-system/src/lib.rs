@@ -43,7 +43,7 @@ mod system;
 
 pub use config::{LlcKind, SystemConfig};
 pub use energy::{llc_area_mm2, llc_energy, EnergyBreakdown, EnergyReport};
-pub use llc::{DisplacedBlock, Llc, LlcAccess, LlcCounters, LlcOutcome};
+pub use llc::{DisplacedBlock, Llc, LlcAccess, LlcCounters};
 pub use replay::{capture_trace, replay, replay_batched};
 pub use runner::{
     assert_baseline_exact, collect_snapshots, evaluate, evaluate_and_snapshots,

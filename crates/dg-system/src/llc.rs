@@ -17,35 +17,22 @@ pub struct DisplacedBlock {
     /// Whether a writeback is required.
     pub dirty: bool,
     /// The data to write back (the shared representative for
-    /// approximate blocks).
+    /// approximate blocks). Meaningful only when `dirty`: a clean
+    /// conventional victim's bytes are never copied out.
     pub data: BlockData,
 }
 
-/// Result of an LLC read or writeback.
-#[derive(Debug, Default)]
-pub struct LlcOutcome {
+/// Result of an LLC read ([`Llc::read_into`]) or writeback
+/// ([`Llc::writeback_into`]). Displaced blocks go to the caller's
+/// scratch buffer, not into this struct.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LlcAccess {
     /// Whether the access hit in the LLC.
     pub hit: bool,
     /// Data returned to the upper level (for reads). On a miss this is
     /// the block fetched from memory — the paper forwards the fetched
     /// values to L2 immediately, before (and regardless of) map-based
     /// sharing in the data array (§3.3).
-    pub data: BlockData,
-    /// Blocks displaced by this access.
-    pub displaced: Vec<DisplacedBlock>,
-    /// Whether main memory was read (off-chip traffic).
-    pub fetched_from_memory: bool,
-}
-
-/// Result of an LLC access through the allocation-free
-/// [`Llc::read_into`] / [`Llc::writeback_into`] paths: like
-/// [`LlcOutcome`] but displacements are appended to a caller-owned
-/// scratch buffer instead of a fresh `Vec` per access.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LlcAccess {
-    /// Whether the access hit in the LLC.
-    pub hit: bool,
-    /// Data returned to the upper level (see [`LlcOutcome::data`]).
     pub data: BlockData,
     /// Whether main memory was read (off-chip traffic).
     pub fetched_from_memory: bool,
@@ -182,24 +169,12 @@ impl Llc {
         }
     }
 
-    /// Read `addr`; on a miss, fetch from `dram` and insert.
+    /// Read `addr`; on a miss, fetch from `dram` and insert. Displaced
+    /// blocks are appended to `displaced` (a reusable scratch buffer).
     ///
     /// `region` is the annotation covering the block (`None` for
     /// precise blocks) — it routes the request in the split design and
     /// drives map generation.
-    pub fn read(
-        &mut self,
-        addr: BlockAddr,
-        region: Option<&ApproxRegion>,
-        dram: &mut MemoryImage,
-    ) -> LlcOutcome {
-        let mut displaced = Vec::new();
-        let a = self.read_into(addr, region, dram, &mut displaced);
-        LlcOutcome { hit: a.hit, data: a.data, displaced, fetched_from_memory: a.fetched_from_memory }
-    }
-
-    /// [`Self::read`] without the per-access allocation: displaced
-    /// blocks are appended to `displaced` (a reusable scratch buffer).
     pub fn read_into(
         &mut self,
         addr: BlockAddr,
@@ -220,19 +195,8 @@ impl Llc {
         }
     }
 
-    /// Accept a dirty writeback from an L2.
-    pub fn writeback(
-        &mut self,
-        addr: BlockAddr,
-        data: BlockData,
-        region: Option<&ApproxRegion>,
-    ) -> LlcOutcome {
-        let mut displaced = Vec::new();
-        let a = self.writeback_into(addr, data, region, &mut displaced);
-        LlcOutcome { hit: a.hit, data: a.data, displaced, fetched_from_memory: a.fetched_from_memory }
-    }
-
-    /// [`Self::writeback`] without the per-access allocation.
+    /// Accept a dirty writeback from an L2. Displaced blocks are
+    /// appended to `displaced`.
     pub fn writeback_into(
         &mut self,
         addr: BlockAddr,
@@ -248,40 +212,6 @@ impl Llc {
             },
             Llc::Unified(doppel) => Self::doppel_writeback(doppel, addr, data, region, displaced),
             Llc::Compressed(cache) => Self::compressed_writeback(cache, addr, data, displaced),
-        }
-    }
-
-    /// Prime a precomputed map hint for an annotated block about to be
-    /// inserted (the batched replay engine's pre-pass). The map is
-    /// computed through the active SIMD lane — the same deterministic
-    /// mapping the insert would run — and consumed only if the insert
-    /// sees the identical address and bytes. No-op for the baseline,
-    /// which never computes maps.
-    pub fn prime_map_hint(&mut self, addr: BlockAddr, block: &BlockData, region: &ApproxRegion) {
-        let doppel = match self {
-            Llc::Baseline(_) | Llc::Compressed(_) => return,
-            Llc::Split { doppel, .. } => doppel,
-            Llc::Unified(d) => d,
-        };
-        let map = doppel.config().map_space.map_block(block, region);
-        doppel.prime_map(addr, block, map);
-    }
-
-    /// Drop unconsumed map hints (end of a batch window).
-    pub fn clear_map_hints(&mut self) {
-        match self {
-            Llc::Baseline(_) | Llc::Compressed(_) => {}
-            Llc::Split { doppel, .. } => doppel.clear_map_hints(),
-            Llc::Unified(d) => d.clear_map_hints(),
-        }
-    }
-
-    /// Map-hint counters `(primed, consumed)` — observability only.
-    pub fn map_hint_counters(&self) -> (u64, u64) {
-        match self {
-            Llc::Baseline(_) | Llc::Compressed(_) => (0, 0),
-            Llc::Split { doppel, .. } => doppel.map_hint_counters(),
-            Llc::Unified(d) => d.map_hint_counters(),
         }
     }
 
@@ -582,9 +512,7 @@ impl Llc {
             return LlcAccess { hit: true, data, fetched_from_memory: false };
         }
         let data = dram.fetch_block(addr);
-        if let Some(ev) = cache.fill_ref(addr, &data, false) {
-            displaced.push(DisplacedBlock { addr: ev.addr, dirty: ev.dirty, data: ev.data });
-        }
+        Self::conventional_fill(cache, addr, &data, displaced);
         LlcAccess { hit: false, data, fetched_from_memory: true }
     }
 
@@ -599,10 +527,24 @@ impl Llc {
         }
         // Non-inclusive corner (the block was displaced concurrently):
         // allocate it dirty.
-        if let Some(ev) = cache.fill_ref(addr, &data, true) {
-            displaced.push(DisplacedBlock { addr: ev.addr, dirty: ev.dirty, data: ev.data });
-        }
+        Self::conventional_fill(cache, addr, &data, displaced);
+        cache.mark_dirty(addr);
         LlcAccess { hit: false, data, fetched_from_memory: false }
+    }
+
+    /// Fill `addr` into a conventional partition, reporting its victim.
+    /// The victim's bytes are copied out only when it is dirty, the one
+    /// case in which the hierarchy writes them back.
+    fn conventional_fill(
+        cache: &mut ConventionalCache,
+        addr: BlockAddr,
+        data: &BlockData,
+        displaced: &mut Vec<DisplacedBlock>,
+    ) {
+        let mut victim = BlockData::zeroed();
+        if let Some((vaddr, dirty)) = cache.fill_ref_lazy(addr, data, &mut victim) {
+            displaced.push(DisplacedBlock { addr: vaddr, dirty, data: victim });
+        }
     }
 
     fn compressed_read(
@@ -716,17 +658,35 @@ mod tests {
         Llc::new(&SystemConfig::tiny_split())
     }
 
+    fn read(
+        llc: &mut Llc,
+        addr: BlockAddr,
+        region: Option<&ApproxRegion>,
+        dram: &mut MemoryImage,
+    ) -> LlcAccess {
+        llc.read_into(addr, region, dram, &mut Vec::new())
+    }
+
+    fn writeback(
+        llc: &mut Llc,
+        addr: BlockAddr,
+        data: BlockData,
+        region: Option<&ApproxRegion>,
+    ) -> LlcAccess {
+        llc.writeback_into(addr, data, region, &mut Vec::new())
+    }
+
     #[test]
     fn baseline_read_miss_fetches_exact_data() {
         let mut dram = MemoryImage::new();
         dram.set_block(BlockAddr(5), blk(7.5));
         let mut llc = tiny_baseline();
-        let out = llc.read(BlockAddr(5), None, &mut dram);
+        let out = read(&mut llc, BlockAddr(5), None, &mut dram);
         assert!(!out.hit);
         assert!(out.fetched_from_memory);
         assert_eq!(out.data, blk(7.5));
         // Second read hits.
-        let out2 = llc.read(BlockAddr(5), None, &mut dram);
+        let out2 = read(&mut llc, BlockAddr(5), None, &mut dram);
         assert!(out2.hit);
         assert_eq!(out2.data, blk(7.5));
     }
@@ -738,8 +698,8 @@ mod tests {
         dram.set_block(BlockAddr(2), blk(2.0));
         let mut llc = tiny_split();
         let r = region();
-        llc.read(BlockAddr(1), Some(&r), &mut dram); // approximate
-        llc.read(BlockAddr(2), None, &mut dram); // precise
+        read(&mut llc, BlockAddr(1), Some(&r), &mut dram); // approximate
+        read(&mut llc, BlockAddr(2), None, &mut dram); // precise
         match &llc {
             Llc::Split { precise, doppel } => {
                 assert!(doppel.contains(BlockAddr(1)));
@@ -761,11 +721,11 @@ mod tests {
         dram.set_block(BlockAddr(2), blk(10.001));
         let mut llc = tiny_split();
         let r = region();
-        llc.read(BlockAddr(1), Some(&r), &mut dram);
-        let out = llc.read(BlockAddr(2), Some(&r), &mut dram);
+        read(&mut llc, BlockAddr(1), Some(&r), &mut dram);
+        let out = read(&mut llc, BlockAddr(2), Some(&r), &mut dram);
         assert_eq!(out.data, blk(10.001), "miss returns fetched values");
         // But a subsequent LLC hit serves the doppelganger.
-        let out = llc.read(BlockAddr(2), Some(&r), &mut dram);
+        let out = read(&mut llc, BlockAddr(2), Some(&r), &mut dram);
         assert!(out.hit);
         assert_eq!(out.data, blk(10.0), "hit returns the representative");
     }
@@ -775,8 +735,8 @@ mod tests {
         let mut dram = MemoryImage::new();
         dram.set_block(BlockAddr(1), blk(5.0));
         let mut llc = tiny_baseline();
-        llc.read(BlockAddr(1), None, &mut dram);
-        let out = llc.writeback(BlockAddr(1), blk(6.0), None);
+        read(&mut llc, BlockAddr(1), None, &mut dram);
+        let out = writeback(&mut llc, BlockAddr(1), blk(6.0), None);
         assert!(out.hit);
         let counters = llc.counters();
         assert!(counters.lookups >= 2);
@@ -797,8 +757,8 @@ mod tests {
         dram.set_block(BlockAddr(2), blk(1.0));
         let mut llc = Llc::new(&SystemConfig::tiny(LlcKind::Unified(dopp)));
         let r = region();
-        llc.read(BlockAddr(1), Some(&r), &mut dram);
-        llc.read(BlockAddr(2), None, &mut dram);
+        read(&mut llc, BlockAddr(1), Some(&r), &mut dram);
+        read(&mut llc, BlockAddr(2), None, &mut dram);
         assert!(llc.contains(BlockAddr(1)) && llc.contains(BlockAddr(2)));
         let counters = llc.counters();
         assert_eq!(counters.dopp.insertions, 2);
@@ -809,9 +769,9 @@ mod tests {
     fn counters_track_hits_and_misses() {
         let mut dram = MemoryImage::new();
         let mut llc = tiny_baseline();
-        llc.read(BlockAddr(1), None, &mut dram);
-        llc.read(BlockAddr(1), None, &mut dram);
-        llc.read(BlockAddr(2), None, &mut dram);
+        read(&mut llc, BlockAddr(1), None, &mut dram);
+        read(&mut llc, BlockAddr(1), None, &mut dram);
+        read(&mut llc, BlockAddr(2), None, &mut dram);
         let c = llc.counters();
         assert_eq!(c.lookups, 3);
         assert_eq!(c.hits, 1);
@@ -826,14 +786,14 @@ mod tests {
         dram.set_block(BlockAddr(2), blk(2.0));
         let mut llc = Llc::new(&SystemConfig::tiny_compressed());
         let r = region();
-        let out = llc.read(BlockAddr(1), Some(&r), &mut dram); // approximate
+        let out = read(&mut llc, BlockAddr(1), Some(&r), &mut dram); // approximate
         assert!(!out.hit && out.fetched_from_memory);
-        llc.read(BlockAddr(2), None, &mut dram); // precise
+        read(&mut llc, BlockAddr(2), None, &mut dram); // precise
         // Both hit now, both byte-exact (compression is lossless).
-        let out = llc.read(BlockAddr(1), Some(&r), &mut dram);
+        let out = read(&mut llc, BlockAddr(1), Some(&r), &mut dram);
         assert!(out.hit);
         assert_eq!(out.data, blk(1.0));
-        let out = llc.read(BlockAddr(2), None, &mut dram);
+        let out = read(&mut llc, BlockAddr(2), None, &mut dram);
         assert!(out.hit);
         assert_eq!(out.data, blk(2.0));
         let c = llc.counters();
@@ -843,7 +803,7 @@ mod tests {
         assert_eq!(llc.sharing_factor(), 0.0);
         llc.check_invariants();
         // Dirty writeback re-compresses and flushes exactly.
-        let out = llc.writeback(BlockAddr(1), blk(9.0), Some(&r));
+        let out = writeback(&mut llc, BlockAddr(1), blk(9.0), Some(&r));
         assert!(out.hit);
         llc.flush_dirty(&mut dram);
         assert_eq!(dram.fetch_block(BlockAddr(1)), blk(9.0));
@@ -855,7 +815,7 @@ mod tests {
         dram.set_block(BlockAddr(3), blk(3.0));
         let mut llc = tiny_split();
         let r = region();
-        llc.read(BlockAddr(3), Some(&r), &mut dram);
+        read(&mut llc, BlockAddr(3), Some(&r), &mut dram);
         let snap = llc.resident_blocks();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].0, BlockAddr(3));

@@ -8,7 +8,7 @@
 //! computations see the data the kernel actually produced.
 
 use crate::{System, SystemConfig};
-use dg_mem::{load_into, store_from, Access, Addr, Memory, RecordingMemory, Trace, TraceBuilder};
+use dg_mem::{load_into, store_from, Access, Memory, RecordingMemory, Trace, TraceBuilder};
 use dg_workloads::Kernel;
 
 /// Run `kernel` once against a precise memory and capture a per-core
@@ -63,51 +63,17 @@ fn issue(sys: &mut System, core: usize, access: &Access) {
     }
 }
 
-/// [`replay`] with cycle-window access batching: each round-robin round
-/// (one access per still-live core — exactly one round of
-/// [`Trace::interleaved`]) is treated as a window of independent
-/// accesses. The maps of the window's annotated would-be LLC misses are
-/// computed up front through the SIMD lane ([`System::prime_window`]),
-/// then the accesses retire serially in core order — the identical
-/// order `replay` uses — consuming the primed hints instead of
-/// recomputing each map mid-access. Hints are byte-verified at consume
-/// time, so the result is bit-identical to [`replay`]: same cycles,
-/// counters, cache contents and DRAM image.
+/// Same as [`replay`]. Kept, hidden, only because the benchmark's
+/// `replay_batched` probe still calls it.
+#[doc(hidden)]
 pub fn replay_batched(trace: &Trace, cfg: SystemConfig) -> System {
-    assert!(
-        trace.cores.len() <= cfg.cores,
-        "trace has more core streams than the system has cores"
-    );
-    let mut sys = System::new(cfg, trace.initial.clone(), trace.annotations.clone());
-    let ncores = trace.cores.len();
-    let mut cursors = vec![0usize; ncores];
-    let mut window: Vec<(usize, Addr)> = Vec::with_capacity(ncores);
-    loop {
-        window.clear();
-        for (core, &cur) in cursors.iter().enumerate() {
-            if let Some(access) = trace.cores[core].get(cur) {
-                window.push((core, access.addr));
-            }
-        }
-        if window.is_empty() {
-            break;
-        }
-        sys.prime_window(&window);
-        for (core, cur) in cursors.iter_mut().enumerate() {
-            let Some(access) = trace.cores[core].get(*cur) else { continue };
-            *cur += 1;
-            issue(&mut sys, core, access);
-        }
-        sys.end_window();
-    }
-    sys
+    replay(trace, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LlcKind;
-    
     use dg_workloads::kernels::{Blackscholes, Inversek2j};
 
     #[test]
@@ -158,53 +124,6 @@ mod tests {
         assert_eq!(a.runtime_cycles(), b.runtime_cycles());
         assert_eq!(a.llc_counters(), b.llc_counters());
         assert_eq!(a.off_chip_blocks(), b.off_chip_blocks());
-    }
-
-    #[test]
-    fn batched_replay_is_bit_identical_to_serial() {
-        let kernel = Inversek2j::new(1024, 4);
-        let trace = capture_trace(&kernel, 4, 4);
-        let tiny_unified = SystemConfig::tiny(LlcKind::Unified(doppelganger::DoppelgangerConfig {
-            tag_entries: 512,
-            tag_ways: 16,
-            data_entries: 128,
-            data_ways: 16,
-            map_space: doppelganger::MapSpace::paper_default(),
-            unified: true,
-        }));
-        for cfg in [SystemConfig::tiny(LlcKind::Baseline), SystemConfig::tiny_split(), tiny_unified]
-        {
-            let mut serial = replay(&trace, cfg);
-            let mut batched = replay_batched(&trace, cfg);
-            assert_eq!(serial.runtime_cycles(), batched.runtime_cycles());
-            assert_eq!(serial.core_cycles(), batched.core_cycles());
-            assert_eq!(serial.total_instructions(), batched.total_instructions());
-            assert_eq!(serial.accesses(), batched.accesses());
-            assert_eq!(serial.llc_counters(), batched.llc_counters());
-            assert_eq!(serial.off_chip_blocks(), batched.off_chip_blocks());
-            assert_eq!(serial.llc_resident_blocks(), batched.llc_resident_blocks());
-            serial.flush();
-            batched.flush();
-            assert!(
-                serial.dram().iter_blocks().eq(batched.dram().iter_blocks()),
-                "flushed DRAM images diverged"
-            );
-            batched.check_llc_invariants();
-        }
-    }
-
-    #[test]
-    fn batched_replay_consumes_primed_hints() {
-        let kernel = Blackscholes::new(256, 2);
-        let trace = capture_trace(&kernel, 4, 4);
-        let sys = replay_batched(&trace, SystemConfig::tiny_split());
-        let (primed, consumed) = sys.map_hint_counters();
-        assert!(primed > 0, "annotated misses should prime hints");
-        assert!(consumed > 0, "inserts should consume primed hints");
-        assert!(consumed <= primed);
-        // Serial replay never primes.
-        let serial = replay(&trace, SystemConfig::tiny_split());
-        assert_eq!(serial.map_hint_counters(), (0, 0));
     }
 
     #[test]

@@ -227,53 +227,6 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Batched map generation (trace-driven replay).
-    // ------------------------------------------------------------------
-
-    /// Precompute map hints for one cycle window of accesses.
-    ///
-    /// `window` holds `(core, addr)` pairs — at most one access per
-    /// core, all from the same round-robin round of a trace replay, so
-    /// they are independent in the serial retirement order. For each
-    /// access that (as of the current state) lands in an annotated
-    /// region and would miss this core's private levels and the LLC,
-    /// the block's map is computed from DRAM through the SIMD lane and
-    /// primed into the Doppelgänger cache, which skips recomputing it
-    /// at insert time. Hints are verified at consume time against both
-    /// address and block bytes, so priming is behaviour-preserving even
-    /// when an earlier access in the window invalidates what this
-    /// filter saw: a stale hint is simply never consumed.
-    pub fn prime_window(&mut self, window: &[(usize, Addr)]) {
-        for (i, &(core, addr)) in window.iter().enumerate() {
-            let block = addr.block();
-            // One hint per block per window.
-            if window[..i].iter().any(|&(_, a)| a.block() == block) {
-                continue;
-            }
-            let Some(region) = self.region_of(block) else { continue };
-            if self.l1[core].contains(block)
-                || self.l2[core].contains(block)
-                || self.llc.contains(block)
-            {
-                continue;
-            }
-            let data = self.dram.block(block);
-            self.llc.prime_map_hint(block, &data, &region);
-        }
-    }
-
-    /// Drop unconsumed map hints at the end of a cycle window.
-    pub fn end_window(&mut self) {
-        self.llc.clear_map_hints();
-    }
-
-    /// The LLC's map-hint counters `(primed, consumed)` — observability
-    /// only (not part of any oracle-compared snapshot).
-    pub fn map_hint_counters(&self) -> (u64, u64) {
-        self.llc.map_hint_counters()
-    }
-
-    // ------------------------------------------------------------------
     // Hierarchy mechanics.
     // ------------------------------------------------------------------
 
@@ -546,6 +499,14 @@ impl System {
         self.back_invalidations
     }
 
+    /// Always `(0, 0)` (`(primed, consumed)` map hints): no hints exist,
+    /// every map is computed at its insert or write. Kept, hidden, only
+    /// because the benchmark's `replay_batched` probe still reads it.
+    #[doc(hidden)]
+    pub fn map_hint_counters(&self) -> (u64, u64) {
+        (0, 0)
+    }
+
     /// The LLC's activity counters.
     pub fn llc_counters(&self) -> LlcCounters {
         self.llc.counters()
@@ -606,10 +567,10 @@ impl System {
     }
 
     /// Snapshot every metric this system exposes into a [`Registry`]:
-    /// the scalar counters, the per-level [`Snapshot`] structs, and —
-    /// when the run was profiled — the four hot-path histograms
-    /// (per-access latency, writeback-buffer residency, LLC set
-    /// occupancy, map-collision chain depth).
+    /// the scalar counters, the per-level [`Snapshot`](dg_obs::Snapshot)
+    /// structs, and — when the run was profiled — the four hot-path
+    /// histograms (per-access latency, writeback-buffer residency, LLC
+    /// set occupancy, map-collision chain depth).
     pub fn metrics_registry(&self) -> Registry {
         let mut reg = Registry::new();
         reg.counter("system.runtime_cycles", self.runtime_cycles());

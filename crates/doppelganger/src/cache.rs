@@ -100,13 +100,6 @@ pub struct DoppelgangerCache {
     data_geom: CacheGeometry,
     tags: TagArray<TagEntry>,
     data: TagArray<DataEntry>,
-    /// Per-set MRU way hints for the tag and MTag/data arrays, checked
-    /// before the full set scan. Stale hints fail the tag compare and
-    /// fall back; tags (and map tags) are unique per set, so a hint hit
-    /// is always the way the scan would have found — behaviour and
-    /// statistics are identical with or without the hints.
-    tag_mru: Vec<u32>,
-    data_mru: Vec<u32>,
     /// Per-tag-slot direct link to the data entry the tag is linked to,
     /// set wherever a tag joins a sharing list or gets its private
     /// entry. For an approximate tag it always equals what the MTag scan
@@ -116,27 +109,6 @@ pub struct DoppelgangerCache {
     /// lookup on a hit is still counted in `mtag_accesses`. Slots of
     /// invalid tags hold stale values and are never read.
     links: Vec<DataId>,
-    /// Per-tag-slot memo of the last `(addr, contents, map)` for which
-    /// `map_block` ran, so rewrites of unchanged bytes reuse the map
-    /// instead of recomputing it. Purely a simulator shortcut: a memo
-    /// hit yields the exact value `map_block` would return (mapping is
-    /// deterministic and a block's region is fixed by its address), and
-    /// `map_generations` still counts the hardware's map computation.
-    map_memo: Vec<Option<(BlockAddr, BlockData, MapValue)>>,
-    memo_enabled: bool,
-    /// Map hints primed by the batched replay engine in `dg-system`:
-    /// `(addr, block contents, map)` triples whose maps were computed
-    /// ahead of time through the SIMD lane. `insert_approx_with`
-    /// consumes a hint only when both the address and the 64 block
-    /// bytes match, and mapping is deterministic, so a consumed hint is
-    /// bit-identical to the value the insert would have computed —
-    /// hints can skip a recomputation but never change behaviour.
-    map_hints: Vec<(BlockAddr, BlockData, MapValue)>,
-    /// Hint observability counters. Deliberately **not** part of
-    /// [`DoppStats`]: the lockstep oracle compares `DoppStats` field by
-    /// field, and hints are an engine artefact, not modelled hardware.
-    hints_primed: u64,
-    hints_consumed: u64,
     stats: DoppStats,
     data_policy: DataPolicy,
     /// Distribution of sharing-list length sampled each time a tag joins
@@ -156,63 +128,11 @@ impl DoppelgangerCache {
             data_geom,
             tags: TagArray::new(tag_geom),
             data: TagArray::new(data_geom),
-            tag_mru: vec![0; tag_geom.sets()],
-            data_mru: vec![0; data_geom.sets()],
             links: vec![DataId { set: 0, way: 0 }; tag_geom.entries()],
-            map_memo: vec![None; tag_geom.entries()],
-            memo_enabled: true,
-            map_hints: Vec::new(),
-            hints_primed: 0,
-            hints_consumed: 0,
             stats: DoppStats::default(),
             data_policy: DataPolicy::default(),
             chain_hist: Hist64::new(),
         }
-    }
-
-    /// Enable or disable the map-value memo (enabled by default). The
-    /// toggle exists for differential testing: a memo-off cache is the
-    /// pre-memo implementation, and both must behave identically.
-    pub fn set_map_memo(&mut self, enabled: bool) {
-        self.memo_enabled = enabled;
-        if !enabled {
-            self.map_memo.iter_mut().for_each(|m| *m = None);
-        }
-    }
-
-    /// Prime a precomputed map for a block about to be inserted.
-    ///
-    /// Used by the batched replay engine: maps for a whole window of
-    /// independent misses are computed up front (through the SIMD
-    /// lane), then each insert consumes its hint instead of recomputing
-    /// the identical value. Unconsumed hints are dropped by
-    /// [`Self::clear_map_hints`] at the end of the window.
-    pub fn prime_map(&mut self, addr: BlockAddr, block: &BlockData, map: MapValue) {
-        self.map_hints.push((addr, *block, map));
-        self.hints_primed += 1;
-    }
-
-    /// Drop all unconsumed map hints (end of a batch window).
-    pub fn clear_map_hints(&mut self) {
-        self.map_hints.clear();
-    }
-
-    /// Hint counters `(primed, consumed)` — observability only.
-    pub fn map_hint_counters(&self) -> (u64, u64) {
-        (self.hints_primed, self.hints_consumed)
-    }
-
-    /// Consume the primed hint for `(addr, block)` if one matches both
-    /// the address and every block byte.
-    #[inline]
-    fn take_map_hint(&mut self, addr: BlockAddr, block: &BlockData) -> Option<MapValue> {
-        if self.map_hints.is_empty() {
-            return None;
-        }
-        let i = self.map_hints.iter().position(|(a, b, _)| *a == addr && b == block)?;
-        let (_, _, map) = self.map_hints.swap_remove(i);
-        self.hints_consumed += 1;
-        Some(map)
     }
 
     /// Select the data-array victim policy (default: LRU, the paper's
@@ -286,55 +206,22 @@ impl DoppelgangerCache {
         self.tag_geom.block_addr(t.tag, id.set as usize)
     }
 
-    /// Check the tag set's MRU way hint before a full scan.
+    /// Locate the tag entry for `addr`, if resident: one keyed scan of
+    /// its tag set.
     #[inline]
-    fn predict_tag(&self, set: usize, tag: u64) -> Option<usize> {
-        let way = self.tag_mru[set] as usize;
-        match self.tags.get(set, way) {
-            Some(e) if e.tag == tag => Some(way),
-            _ => None,
-        }
-    }
-
-    /// Locate the tag entry for `addr`, if resident (shared access; the
-    /// MRU hint is probed read-only).
     fn locate_tag(&self, addr: BlockAddr) -> Option<TagId> {
         let set = self.tag_geom.set_of(addr);
         let tag = self.tag_geom.tag_of(addr);
-        self.predict_tag(set, tag)
-            .or_else(|| self.tags.find_keyed(set, tag, |e| e.tag == tag))
+        self.tags
+            .find_keyed(set, tag, |e| e.tag == tag)
             .map(|way| TagId { set: set as u32, way: way as u32 })
     }
 
-    /// Locate the tag entry for `addr`, refreshing the MRU way hint on
-    /// a hit — the per-access variant of [`Self::locate_tag`].
+    /// The MTag lookup: locate the data entry an approximate `map`
+    /// refers to by one keyed scan of its MTag set. Insertions and
+    /// moving writes use it, and `check_invariants` holds every tag's
+    /// link to it.
     #[inline]
-    fn locate_tag_mut(&mut self, addr: BlockAddr) -> Option<TagId> {
-        let set = self.tag_geom.set_of(addr);
-        let tag = self.tag_geom.tag_of(addr);
-        if let Some(way) = self.predict_tag(set, tag) {
-            return Some(TagId { set: set as u32, way: way as u32 });
-        }
-        let way = self.tags.find_keyed(set, tag, |e| e.tag == tag)?;
-        self.tag_mru[set] = way as u32;
-        Some(TagId { set: set as u32, way: way as u32 })
-    }
-
-    /// Check the MTag/data set's MRU way hint before a full scan.
-    #[inline]
-    fn predict_data(&self, set: usize, mtag: u64) -> Option<usize> {
-        let way = self.data_mru[set] as usize;
-        match self.data.get(set, way) {
-            Some(e) if matches!(e.kind, DataKind::Approx { map_tag } if map_tag == mtag) => {
-                Some(way)
-            }
-            _ => None,
-        }
-    }
-
-    /// Locate the data entry an approximate `map` refers to by the MTag
-    /// set scan alone, no MRU hint: the reference `check_invariants`
-    /// holds every tag's link to.
     fn locate_data(&self, map: MapValue) -> Option<DataId> {
         let bits = self.mtag_index_bits();
         let set = map.index(bits);
@@ -342,24 +229,6 @@ impl DoppelgangerCache {
         self.data
             .find_keyed(set, mtag, |e| matches!(e.kind, DataKind::Approx { map_tag } if map_tag == mtag))
             .map(|way| DataId { set: set as u32, way: way as u32 })
-    }
-
-    /// The MTag lookup of an insertion or a moving write: locate the
-    /// data entry for `map`, MRU way hint first, refreshing it on a
-    /// scan hit.
-    #[inline]
-    fn locate_data_mut(&mut self, map: MapValue) -> Option<DataId> {
-        let bits = self.mtag_index_bits();
-        let set = map.index(bits);
-        let mtag = map.tag(bits);
-        if let Some(way) = self.predict_data(set, mtag) {
-            return Some(DataId { set: set as u32, way: way as u32 });
-        }
-        let way = self
-            .data
-            .find_keyed(set, mtag, |e| matches!(e.kind, DataKind::Approx { map_tag } if map_tag == mtag))?;
-        self.data_mru[set] = way as u32;
-        Some(DataId { set: set as u32, way: way as u32 })
     }
 
     /// The data entry a resident tag is linked to: its direct link,
@@ -370,33 +239,10 @@ impl DoppelgangerCache {
         self.links[self.tag_slot(id)]
     }
 
-    /// The flat per-tag-slot index (`links`, `map_memo`) of a tag
-    /// position.
+    /// The flat `links` index of a tag position.
     #[inline]
     fn tag_slot(&self, id: TagId) -> usize {
         id.set as usize * self.tag_geom.ways() + id.way as usize
-    }
-
-    /// `map_block` with the per-tag-slot memo in front: reuses the
-    /// cached map when the slot last mapped exactly these bytes for
-    /// exactly this address. Always counts one `map_generation` — the
-    /// modelled hardware computes the map either way.
-    #[inline]
-    fn map_block_memo(&mut self, id: TagId, addr: BlockAddr, block: &BlockData, region: &ApproxRegion) -> MapValue {
-        self.stats.map_generations += 1;
-        let slot = self.tag_slot(id);
-        if self.memo_enabled {
-            if let Some((a, b, m)) = &self.map_memo[slot] {
-                if *a == addr && b == block {
-                    return *m;
-                }
-            }
-        }
-        let map = self.cfg.map_space.map_block(block, region);
-        if self.memo_enabled {
-            self.map_memo[slot] = Some((addr, *block, map));
-        }
-        map
     }
 
     // ------------------------------------------------------------------
@@ -563,7 +409,7 @@ impl DoppelgangerCache {
     }
 
     /// The stored representative for `addr` without recording an
-    /// access: no statistics, no LRU/MRU updates. Observation-only
+    /// access: no statistics, no LRU updates. Observation-only
     /// companion to [`Self::read`], used by exporters and by `dg-serve`
     /// to return a block after an insertion already accounted the
     /// access.
@@ -583,7 +429,7 @@ impl DoppelgangerCache {
     /// [`Self::insert_precise`].
     pub fn read(&mut self, addr: BlockAddr) -> Option<BlockData> {
         self.stats.tag_array_accesses += 1;
-        let Some(tid) = self.locate_tag_mut(addr) else {
+        let Some(tid) = self.locate_tag(addr) else {
             self.stats.misses += 1;
             return None;
         };
@@ -631,12 +477,7 @@ impl DoppelgangerCache {
         // Debug-only: the resident check would re-scan the tag set on
         // every insert, and the hierarchy inserts only after a miss.
         debug_assert!(!self.contains(addr), "insert of a resident block");
-        // A primed hint (batched replay) is the same deterministic
-        // mapping computed ahead of time; the hardware still computes
-        // one map per insert, so `map_generations` counts either way.
-        let map = self
-            .take_map_hint(addr, &block)
-            .unwrap_or_else(|| self.cfg.map_space.map_block(&block, region));
+        let map = self.cfg.map_space.map_block(&block, region);
         self.stats.map_generations += 1;
         self.stats.insertions += 1;
 
@@ -646,15 +487,11 @@ impl DoppelgangerCache {
             emit(d);
         }
         let slot = self.tag_slot(tid);
-        if self.memo_enabled {
-            self.map_memo[slot] = Some((addr, block, map));
-        }
-        self.tag_mru[tid.set as usize] = tid.way;
 
         // Step 2: similar block exists? (MTag lookup with the new map.)
         self.stats.mtag_accesses += 1;
         let entry_tag = self.tag_geom.tag_of(addr);
-        if let Some(did) = self.locate_data_mut(map) {
+        if let Some(did) = self.locate_data(map) {
             // Similar data block exists: link the new tag at the head.
             self.stats.shared_insertions += 1;
             self.tags.insert_at_keyed(tid.set as usize, tid.way as usize, entry_tag, TagEntry::approx(entry_tag, map));
@@ -677,7 +514,6 @@ impl DoppelgangerCache {
                 map.tag(bits),
                 DataEntry { kind: DataKind::Approx { map_tag: map.tag(bits) }, head: tid, data: block },
             );
-            self.data_mru[did.set as usize] = did.way;
             self.tags.insert_at_keyed(tid.set as usize, tid.way as usize, entry_tag, TagEntry::approx(entry_tag, map));
             self.links[slot] = did;
             false
@@ -719,9 +555,6 @@ impl DoppelgangerCache {
         if let Some(d) = displaced_tag {
             emit(d);
         }
-        let slot = self.tag_slot(tid);
-        self.map_memo[slot] = None;
-        self.tag_mru[tid.set as usize] = tid.way;
 
         let did = self.make_data_room(self.data_geom.set_of(addr), emit);
         self.stats.data_accesses += 1;
@@ -736,6 +569,7 @@ impl DoppelgangerCache {
         );
         let entry_tag = self.tag_geom.tag_of(addr);
         self.tags.insert_at_keyed(tid.set as usize, tid.way as usize, entry_tag, TagEntry::precise(entry_tag, did));
+        let slot = self.tag_slot(tid);
         self.links[slot] = did;
     }
 
@@ -767,7 +601,7 @@ impl DoppelgangerCache {
         emit: &mut dyn FnMut(Displaced),
     ) -> WriteStatus {
         self.stats.tag_array_accesses += 1;
-        let Some(tid) = self.locate_tag_mut(addr) else {
+        let Some(tid) = self.locate_tag(addr) else {
             return WriteStatus::NotResident;
         };
         self.stats.writes += 1;
@@ -784,7 +618,8 @@ impl DoppelgangerCache {
 
         let region = region.expect("approximate writes require the annotation");
         let old_map = self.tag_at(tid).map().expect("approx tag has a map");
-        let new_map = self.map_block_memo(tid, addr, &block, region);
+        let new_map = self.cfg.map_space.map_block(&block, region);
+        self.stats.map_generations += 1;
 
         if new_map == old_map {
             // Silent store or a change small enough to stay similar: the
@@ -807,7 +642,7 @@ impl DoppelgangerCache {
         self.stats.mtag_accesses += 1;
         let bits = self.mtag_index_bits();
         let slot = self.tag_slot(tid);
-        if let Some(did) = self.locate_data_mut(new_map) {
+        if let Some(did) = self.locate_data(new_map) {
             // Join the existing list; the write's modifications are
             // effectively ignored (the representative stands in).
             match &mut self.tag_at_mut(tid).kind {
@@ -823,7 +658,6 @@ impl DoppelgangerCache {
             // Allocate a fresh entry holding the newly written values.
             let did = self.make_data_room(new_map.index(bits), emit);
             self.stats.data_accesses += 1;
-            self.data_mru[did.set as usize] = did.way;
             self.data.insert_at_keyed(
                 did.set as usize,
                 did.way as usize,
@@ -847,7 +681,7 @@ impl DoppelgangerCache {
     /// Invalidate `addr` (coherence or inclusion), returning its final
     /// state. The data entry is freed iff this was its last tag.
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Displaced> {
-        let tid = self.locate_tag_mut(addr)?;
+        let tid = self.locate_tag(addr)?;
         Some(self.evict_tag(tid))
     }
 
@@ -858,13 +692,13 @@ impl DoppelgangerCache {
 
     /// Mutable directory sharers of a resident block.
     pub fn sharers_mut(&mut self, addr: BlockAddr) -> Option<&mut Sharers> {
-        self.locate_tag_mut(addr).map(|tid| &mut self.tag_at_mut(tid).sharers)
+        self.locate_tag(addr).map(|tid| &mut self.tag_at_mut(tid).sharers)
     }
 
     /// Mark a resident block dirty without changing its data (used for
     /// ownership transfers where no data flows).
     pub fn mark_dirty(&mut self, addr: BlockAddr) -> bool {
-        match self.locate_tag_mut(addr) {
+        match self.locate_tag(addr) {
             Some(tid) => {
                 self.tag_at_mut(tid).dirty = true;
                 true
@@ -1431,42 +1265,5 @@ mod tests {
         assert!(c.mark_dirty(BlockAddr(1)));
         assert!(!c.mark_dirty(BlockAddr(99)));
         assert!(c.invalidate(BlockAddr(1)).unwrap().dirty);
-    }
-
-    #[test]
-    fn primed_map_hints_are_consumed_and_behaviour_is_identical() {
-        let r = region();
-        let cfg = tiny_cfg();
-        let mut plain = DoppelgangerCache::new(cfg.clone());
-        let mut hinted = DoppelgangerCache::new(cfg);
-
-        // Prime exact hints for two blocks, a byte-mismatched hint for a
-        // third, and leave a fourth unhinted.
-        let blocks =
-            [(BlockAddr(1), blk(10.0)), (BlockAddr(2), blk(10.003)), (BlockAddr(3), blk(55.0))];
-        for (addr, b) in &blocks[..2] {
-            let map = hinted.config().map_space.map_block(b, &r);
-            hinted.prime_map(*addr, b, map);
-        }
-        let wrong = hinted.config().map_space.map_block(&blk(99.0), &r);
-        hinted.prime_map(BlockAddr(3), &blk(99.0), wrong); // bytes won't match blk(55.0)
-
-        for (addr, b) in &blocks {
-            plain.insert_approx(*addr, *b, &r);
-            hinted.insert_approx(*addr, *b, &r);
-        }
-        hinted.clear_map_hints();
-        plain.insert_approx(BlockAddr(4), blk(7.0), &r);
-        hinted.insert_approx(BlockAddr(4), blk(7.0), &r);
-
-        assert_eq!(hinted.map_hint_counters(), (3, 2));
-        assert_eq!(plain.map_hint_counters(), (0, 0));
-        // Hardware-visible state and counters are identical.
-        assert_eq!(plain.stats(), hinted.stats());
-        for (addr, _) in &blocks {
-            assert_eq!(plain.peek(*addr), hinted.peek(*addr));
-        }
-        assert_eq!(plain.resident_data(), hinted.resident_data());
-        hinted.check_invariants();
     }
 }

@@ -5,7 +5,7 @@ use dg_check::{any, props, vec, SplitMix64};
 use dg_mem::{Addr, ApproxRegion, BlockAddr, BlockData, ElemType};
 use doppelganger::analysis::{threshold_savings, SavingsReport};
 use doppelganger::{
-    DoppelgangerCache, DoppelgangerConfig, HardwareCost, MapHash, MapSpace, MapValue, WriteStatus,
+    DoppelgangerCache, DoppelgangerConfig, HardwareCost, MapHash, MapSpace, WriteStatus,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -202,83 +202,29 @@ props! {
         assert_eq!(s.map_block(&top, &r), s.map_block(&over, &r));
     }
 
-    /// Differential check for the content-versioned map memo: a cache
-    /// with the memo enabled (default) behaves identically to one with
-    /// it disabled (the pre-memo implementation) under random streams
-    /// of inserts, rewrites (including byte-identical rewrites — the
-    /// memo's hit case), reads, and invalidates. Reads, write statuses,
-    /// displacements, statistics, and structural invariants must all
-    /// agree.
-    fn map_memo_matches_recompute(
-        ops in vec((0u8..4, 0u64..48, 0u16..40), 1..200),
-    ) {
-        let cfg = tiny_cache(false);
-        let r = region(0.0, 100.0);
-        let mut memo = DoppelgangerCache::new(cfg);
-        let mut plain = DoppelgangerCache::new(cfg);
-        plain.set_map_memo(false);
-        for (op, a, v) in ops {
-            let addr = BlockAddr(a);
-            // Quantize values so byte-identical rewrites are common.
-            let b = BlockData::from_values(ElemType::F32, &[f64::from(v / 4) * 2.5; 16]);
-            match op {
-                0 => {
-                    if !memo.contains(addr) {
-                        let om = memo.insert_approx(addr, b, &r);
-                        let op_ = plain.insert_approx(addr, b, &r);
-                        assert_eq!(om.shared_existing, op_.shared_existing);
-                        assert_eq!(om.displaced, op_.displaced);
-                    }
-                }
-                1 => {
-                    let mut dm = Vec::new();
-                    let mut dp = Vec::new();
-                    let sm = memo.write_with(addr, b, Some(&r), &mut |d| dm.push(d));
-                    let sp = plain.write_with(addr, b, Some(&r), &mut |d| dp.push(d));
-                    assert_eq!(sm, sp);
-                    assert_eq!(dm, dp);
-                    // Rewrite the same bytes immediately: the memo hit
-                    // must still report SameMap and count a generation.
-                    if sm != WriteStatus::NotResident {
-                        let s2 = memo.write_with(addr, b, Some(&r), &mut |_| {});
-                        assert_eq!(s2, WriteStatus::SameMap);
-                        plain.write_with(addr, b, Some(&r), &mut |_| {});
-                    }
-                }
-                2 => assert_eq!(memo.read(addr), plain.read(addr)),
-                _ => assert_eq!(memo.invalidate(addr), plain.invalidate(addr)),
-            }
-        }
-        assert_eq!(memo.stats(), plain.stats());
-        assert_eq!(memo.resident_tags(), plain.resident_tags());
-        assert_eq!(memo.resident_data(), plain.resident_data());
-        memo.check_invariants();
-        plain.check_invariants();
-        let mut bm: Vec<_> = memo.iter_blocks().map(|(a, d, p, b)| (a.0, d, p, *b)).collect();
-        let mut bp: Vec<_> = plain.iter_blocks().map(|(a, d, p, b)| (a.0, d, p, *b)).collect();
-        bm.sort_unstable_by_key(|&(a, ..)| a);
-        bp.sort_unstable_by_key(|&(a, ..)| a);
-        assert_eq!(bm, bp);
-    }
-
     /// Every resident tag's direct link leads where the MTag scan of
     /// its map leads, through random inserts, writes that keep the map
     /// (jitter inside a bin), join an existing list or allocate a new
-    /// entry, reads and invalidations, with precise blocks mixed in
-    /// under the unified configuration. `check_invariants` holds the
-    /// link to the scan after every operation; from outside, a block
-    /// must read back a representative of the bin it was last put in
-    /// (a stale link reads another bin's entry, or a freed way), and a
-    /// precise block its exact bytes.
+    /// entry, byte-identical rewrites, reads and invalidations, with
+    /// precise blocks mixed in under the unified configuration.
+    /// `check_invariants` holds the link to the scan after every
+    /// operation; from outside, a block must read back a representative
+    /// of the bin it was last put in (a stale link reads another bin's
+    /// entry, or a freed way), and a precise block its exact bytes. A
+    /// rewrite of the bytes an approximate block last received is a
+    /// silent store (`SameMap`), and every approximate insert and write
+    /// generates exactly one map.
     fn links_follow_the_mtag_scan(
-        ops in vec((0u8..8, 0u64..48, 0u16..40), 1..200),
+        ops in vec((0u8..9, 0u64..48, 0u16..40), 1..200),
         unified in any::<bool>(),
     ) {
         let cfg = tiny_cache(unified);
         let r = region(0.0, 100.0);
         let mut cache = DoppelgangerCache::new(cfg);
-        let mut maps: HashMap<u64, MapValue> = HashMap::new();
+        // The bytes each resident approximate block last received.
+        let mut approx: HashMap<u64, BlockData> = HashMap::new();
         let mut exact: HashMap<u64, BlockData> = HashMap::new();
+        let mut maps_generated = 0u64;
         for (op, a, v) in ops {
             let addr = BlockAddr(a);
             let precise = unified && a >= 32;
@@ -302,22 +248,35 @@ props! {
                     if precise {
                         exact.insert(a, b);
                     } else {
-                        maps.insert(a, cfg.map_space.map_block(&b, &r));
+                        approx.insert(a, b);
+                        maps_generated += 1;
                     }
                 }
                 5 | 6 => {
                     assert_eq!(cache.read(addr), cache.peek(addr));
                 }
+                7 => {
+                    if let Some(&last) = approx.get(&a) {
+                        let status = cache.write_with(addr, last, Some(&r), &mut |d| gone.push(d));
+                        assert_eq!(status, WriteStatus::SameMap, "rewrite of block {a}'s bytes");
+                        maps_generated += 1;
+                    }
+                }
                 _ => gone.extend(cache.invalidate(addr)),
             }
             for d in gone {
-                assert!(maps.remove(&d.addr.0).is_some() || exact.remove(&d.addr.0).is_some());
+                assert!(approx.remove(&d.addr.0).is_some() || exact.remove(&d.addr.0).is_some());
             }
             cache.check_invariants();
-            assert_eq!(cache.resident_tags(), maps.len() + exact.len());
-            for (&a, &map) in &maps {
+            assert_eq!(cache.stats().map_generations, maps_generated);
+            assert_eq!(cache.resident_tags(), approx.len() + exact.len());
+            for (&a, last) in &approx {
                 let rep = cache.peek(BlockAddr(a)).expect("tracked block is resident");
-                assert_eq!(cfg.map_space.map_block(&rep, &r), map, "block {a} reads another bin");
+                assert_eq!(
+                    cfg.map_space.map_block(&rep, &r),
+                    cfg.map_space.map_block(last, &r),
+                    "block {a} reads another bin"
+                );
             }
             for (&a, bytes) in &exact {
                 assert_eq!(cache.peek(BlockAddr(a)), Some(*bytes), "precise block {a}");

@@ -4,6 +4,7 @@
 # Thin wrapper over scripts/verify.sh (tier-1 build + tests, the
 # observability identity and per-level count gates among them +
 # cargo clippy on the workspace, exit status only +
+# cargo doc with broken intra-doc links denied +
 # benchmark smoke run checked against benchmark/golden/* +
 # hermeticity + differential oracle on both the SIMD and scalar lanes +
 # byte-diff of deterministic exports across DG_SIMD lanes +

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline build + tests, clippy's deny-level lints,
-# the benchmark's smoke run against its golden digests, plus a
+# rustdoc's broken-link check, the benchmark's smoke run against its golden digests, plus a
 # hermeticity check asserting the dependency graph contains only
 # in-repo workspace crates (see README.md, "Hermetic build &
 # determinism").
@@ -22,6 +22,13 @@ echo "== lint: cargo clippy (exit status only) =="
 # (no -D warnings).
 cargo clippy --offline --workspace
 echo "ok: clippy reaches and passes every workspace crate"
+
+echo "== docs: cargo doc, broken intra-doc links denied =="
+# Every [`item`] link in every workspace crate's docs must resolve, so
+# a deleted or renamed item cannot leave a dangling reference behind.
+# Links to private items stay warnings.
+RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' cargo doc --offline --workspace --no-deps
+echo "ok: every intra-doc link resolves"
 
 echo "== benchmark smoke: benchmark/run.sh --smoke =="
 # The repository benchmark at ~1/20 size with verification: every

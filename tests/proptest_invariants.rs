@@ -94,7 +94,8 @@ props! {
             let data = block_from(v);
             if is_write {
                 if !cache.write(addr, data) {
-                    cache.fill_with(addr, data, true);
+                    cache.fill(addr, data);
+                    cache.mark_dirty(addr);
                 }
                 oracle.insert(a, data);
             } else if let Some(got) = cache.read(addr) {
