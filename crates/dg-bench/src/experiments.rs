@@ -343,9 +343,10 @@ impl Sweep {
 
     /// Iterate over every cached `(label, results)` pair, in label
     /// order. The cache is a `HashMap` whose iteration order is
-    /// random per process; exports byte-diff runs against each other
-    /// (the SIMD lane-identity gate in `scripts/verify.sh`), so the
-    /// order must be a pure function of the content.
+    /// random per process; exports must be byte-identical from run to
+    /// run and across worker counts (the export-determinism stage of
+    /// `scripts/verify.sh`), so the order must be a pure function of
+    /// the content.
     pub fn cached_runs(&self) -> impl Iterator<Item = (&str, &[EvalResult])> {
         let mut labels: Vec<&String> = self.cache.keys().collect();
         labels.sort_unstable();

@@ -26,8 +26,8 @@ pub struct RunMeta {
     pub scale: &'static str,
     /// Host `<arch>-<os>` pair, e.g. `x86_64-linux`.
     pub host: String,
-    /// Active SIMD lane (`"avx2"`, `"sse2"` or `"scalar"` — the
-    /// resolved [`dg_simd::lane`], honouring `DG_SIMD`).
+    /// Active SIMD lane ([`dg_simd::lane`]: `"avx2"` when the CPU has
+    /// it, else `"scalar"`).
     pub simd: &'static str,
 }
 
@@ -173,7 +173,7 @@ mod tests {
         assert!(parsed.get("threads").unwrap().as_u64().unwrap() > 0);
         assert!(parsed.get("git_sha").unwrap().as_str().is_some());
         let lane = parsed.get("simd").unwrap().as_str().unwrap();
-        assert!(["scalar", "sse2", "avx2"].contains(&lane), "unexpected lane {lane}");
+        assert!(["scalar", "avx2"].contains(&lane), "unexpected lane {lane}");
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Runtime-dispatched SIMD kernels for the simulator's hot loops, with
-//! a scalar reference implementation that every vector lane must match
+//! Runtime-dispatched AVX2 kernels for the simulator's hot loops, with
+//! a scalar reference implementation that the vector lane must match
 //! **bit for bit**.
 //!
-//! Three loop families dominate the per-access cost after the PR 3
-//! fast-path work, and all three are data-parallel over fixed-size
-//! data:
+//! Two loop families dominate the per-access cost after the PR 3
+//! fast-path work, and both are data-parallel over fixed-size data:
 //!
 //! 1. **Map generation** (paper §3.7): decode a 64-byte block as typed
 //!    elements, clamp each into the annotated `[lo, hi]` range, and
@@ -15,18 +14,19 @@
 //!    in a different quantization bin. [`sum_seq`] folds the buffer in
 //!    element order on every lane.
 //! 2. **Key-lane scans**: the dense `u64` scan keys of
-//!    `TagArray::find_keyed` and the way scans of the conventional
-//!    caches. [`match_mask_on`] compares a whole set's keys at once and
-//!    returns a bitmask; callers walk it in ascending way order, so hit
-//!    order (and therefore every downstream decision) is unchanged.
-//! 3. **64-byte block compare/copy** on the fill and writeback paths:
-//!    [`eq64_on`] / [`copy64_on`].
+//!    `TagArray::find_keyed`. [`match_mask_on`] compares a whole set's
+//!    keys at once and returns a bitmask; callers walk it in ascending
+//!    way order, so hit order (and therefore every downstream decision)
+//!    is unchanged.
+//!
+//! The 64-byte block compare and copy of the fill and writeback paths
+//! ([`eq64`] / [`copy64`]) are inline scalar code on every host: they
+//! are too small to pay for a lane test and a `#[target_feature]` call.
 //!
 //! # Bit-identity contract
 //!
-//! The scalar lane *is* the semantics; SSE2/AVX2 are implementations of
-//! it. Equality compares and copies are trivially exact. For the
-//! floating-point kernels:
+//! The scalar lane *is* the semantics; AVX2 is an implementation of it.
+//! For the floating-point kernels:
 //!
 //! * clamp uses `max_pd(lo, min_pd(hi, v))`. Both instructions return
 //!   the **second** operand on a NaN or a `±0.0` tie, so the result is
@@ -39,19 +39,15 @@
 //!   wins a tie between equal zeros; the quantizer downstream cannot
 //!   distinguish them (`-0.0 == 0.0`, and `x - (-0.0)` and `x - 0.0`
 //!   are bitwise equal for every `x`), and the property tests pin that
-//!   all lanes produce bit-identical *maps*.
+//!   both lanes produce bit-identical *maps*.
 //!
 //! # Dispatch
 //!
-//! [`lane()`] picks the widest lane the CPU supports, once, honouring
-//! the `DG_SIMD` environment variable (`off`/`scalar`, `sse2`, `avx2`,
-//! or `on`/`auto`). Every kernel also has a lane-explicit `*_on`
-//! variant so differential tests can compare lanes in-process without
-//! touching global state. Requesting an unavailable lane (or any lane
-//! on a non-x86_64 host) falls back to scalar — results are identical
-//! by contract, so the fallback is silent.
-
-use std::sync::OnceLock;
+//! [`lane()`] is AVX2 when the CPU has it and scalar otherwise; there
+//! is no override, because the lanes cannot differ in any result. The
+//! kernels also take the lane explicitly (`*_on`) so differential tests
+//! can compare lanes in-process without touching global state.
+//! Requesting a lane the host lacks falls back to scalar.
 
 /// How a 64-byte block's bytes decode into elements. Mirrors
 /// `dg_mem::ElemType` without depending on it (this crate sits below
@@ -80,14 +76,15 @@ impl ElemKind {
     }
 }
 
-/// An implementation lane. `Scalar` is the reference; the vector lanes
-/// must produce bit-identical results (see the crate docs for the
-/// contract).
+/// An implementation lane. `Scalar` is the reference; `Avx2` must
+/// produce bit-identical results (see the crate docs for the contract).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lane {
     /// Plain Rust loops — the reference implementation.
     Scalar,
-    /// 128-bit `core::arch::x86_64` kernels (baseline on x86_64).
+    /// Kept only because the benchmark looks lanes up by name; never
+    /// available, so it runs scalar.
+    #[doc(hidden)]
     Sse2,
     /// 256-bit AVX2 kernels.
     Avx2,
@@ -112,58 +109,23 @@ impl Lane {
     pub fn available(self) -> bool {
         match self {
             Lane::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Lane::Sse2 => is_x86_feature_detected!("sse2"),
+            Lane::Sse2 => false,
             #[cfg(target_arch = "x86_64")]
             Lane::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            Lane::Avx2 => false,
         }
     }
 }
 
-/// The process-wide lane: the widest available one, overridable via
-/// `DG_SIMD` (`off`/`scalar`/`0`, `sse2`, `avx2`, `on`/`auto`/`1`).
-/// Resolved once and cached; an unrecognised value warns on stderr and
-/// behaves like `auto` (all lanes are bit-identical, so any choice is
-/// safe).
+/// The process-wide lane: AVX2 when the CPU has it, else scalar. The
+/// feature test is cached by `std`.
+#[inline]
 pub fn lane() -> Lane {
-    static LANE: OnceLock<Lane> = OnceLock::new();
-    *LANE.get_or_init(|| select_lane(std::env::var("DG_SIMD").ok().as_deref()))
-}
-
-/// Pure lane-selection policy behind [`lane()`], separated for tests.
-fn select_lane(var: Option<&str>) -> Lane {
-    let best = if Lane::Avx2.available() {
+    if Lane::Avx2.available() {
         Lane::Avx2
-    } else if Lane::Sse2.available() {
-        Lane::Sse2
     } else {
         Lane::Scalar
-    };
-    let Some(raw) = var else { return best };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "" | "on" | "auto" | "1" => best,
-        "off" | "scalar" | "0" => Lane::Scalar,
-        "sse2" => {
-            if Lane::Sse2.available() {
-                Lane::Sse2
-            } else {
-                Lane::Scalar
-            }
-        }
-        "avx2" => {
-            if Lane::Avx2.available() {
-                Lane::Avx2
-            } else {
-                eprintln!("dg-simd: DG_SIMD=avx2 requested but AVX2 is unavailable; using {}", best.name());
-                best
-            }
-        }
-        other => {
-            eprintln!("dg-simd: unrecognised DG_SIMD={other:?}; using {}", best.name());
-            best
-        }
     }
 }
 
@@ -174,7 +136,7 @@ fn select_lane(var: Option<&str>) -> Lane {
 /// Decode `bytes` as `kind` elements, clamp each into `[lo, hi]`, and
 /// write them in element order into `out`. Returns the element count.
 ///
-/// Every lane produces bitwise-identical buffers (see the crate docs).
+/// Both lanes produce bitwise-identical buffers (see the crate docs).
 ///
 /// # Panics
 ///
@@ -191,25 +153,12 @@ pub fn decode_clamp_on(
 ) -> usize {
     assert!(lo <= hi, "decode_clamp bounds must satisfy lo <= hi and be non-NaN");
     #[cfg(target_arch = "x86_64")]
-    match lane {
-        Lane::Avx2 if Lane::Avx2.available() => {
-            // SAFETY: AVX2 support was just verified on this CPU.
-            return unsafe { x86::decode_clamp_avx2(kind, bytes, lo, hi, out) };
-        }
-        Lane::Sse2 if Lane::Sse2.available() => {
-            // SAFETY: SSE2 support was just verified on this CPU.
-            return unsafe { x86::decode_clamp_sse2(kind, bytes, lo, hi, out) };
-        }
-        _ => {}
+    if lane == Lane::Avx2 && Lane::Avx2.available() {
+        // SAFETY: AVX2 support was just verified on this CPU.
+        return unsafe { x86::decode_clamp_avx2(kind, bytes, lo, hi, out) };
     }
     let _ = lane;
     decode_clamp_scalar(kind, bytes, lo, hi, out)
-}
-
-/// [`decode_clamp_on`] with the process-wide [`lane()`].
-#[inline]
-pub fn decode_clamp(kind: ElemKind, bytes: &[u8; 64], lo: f64, hi: f64, out: &mut [f64; 64]) -> usize {
-    decode_clamp_on(lane(), kind, bytes, lo, hi, out)
 }
 
 /// The reference decode + clamp: exactly `elem.clamp(lo, hi)` per
@@ -250,28 +199,11 @@ fn decode_clamp_scalar(kind: ElemKind, bytes: &[u8; 64], lo: f64, hi: f64, out: 
 #[inline]
 pub fn min_max_on(lane: Lane, vals: &[f64]) -> (f64, f64) {
     #[cfg(target_arch = "x86_64")]
-    match lane {
-        Lane::Avx2 if Lane::Avx2.available() => {
-            // SAFETY: AVX2 support was just verified on this CPU.
-            return unsafe { x86::min_max_avx2(vals) };
-        }
-        Lane::Sse2 if Lane::Sse2.available() => {
-            // SAFETY: SSE2 support was just verified on this CPU.
-            return unsafe { x86::min_max_sse2(vals) };
-        }
-        _ => {}
+    if lane == Lane::Avx2 && Lane::Avx2.available() {
+        // SAFETY: AVX2 support was just verified on this CPU.
+        return unsafe { x86::min_max_avx2(vals) };
     }
     let _ = lane;
-    min_max_scalar(vals)
-}
-
-/// [`min_max_on`] with the process-wide [`lane()`].
-#[inline]
-pub fn min_max(vals: &[f64]) -> (f64, f64) {
-    min_max_on(lane(), vals)
-}
-
-fn min_max_scalar(vals: &[f64]) -> (f64, f64) {
     let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
     for &v in vals {
         min = min.min(v);
@@ -315,16 +247,9 @@ pub fn match_mask_on(lane: Lane, keys: &[u64], key: u64) -> u64 {
         return match_mask_scalar(keys, key);
     }
     #[cfg(target_arch = "x86_64")]
-    match lane {
-        Lane::Avx2 if Lane::Avx2.available() => {
-            // SAFETY: AVX2 support was just verified on this CPU.
-            return unsafe { x86::match_mask_avx2(keys, key) };
-        }
-        Lane::Sse2 if Lane::Sse2.available() => {
-            // SAFETY: SSE2 support was just verified on this CPU.
-            return unsafe { x86::match_mask_sse2(keys, key) };
-        }
-        _ => {}
+    if lane == Lane::Avx2 && Lane::Avx2.available() {
+        // SAFETY: AVX2 support was just verified on this CPU.
+        return unsafe { x86::match_mask_avx2(keys, key) };
     }
     let _ = lane;
     match_mask_scalar(keys, key)
@@ -348,40 +273,16 @@ fn match_mask_scalar(keys: &[u64], key: u64) -> u64 {
 }
 
 // ----------------------------------------------------------------------
-// Kernel 4: 64-byte block compare / copy.
+// 64-byte block compare / copy (inline on every host).
 // ----------------------------------------------------------------------
 
-/// Whether two 64-byte blocks are byte-identical.
-#[inline]
-pub fn eq64_on(lane: Lane, a: &[u8; 64], b: &[u8; 64]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    match lane {
-        Lane::Avx2 if Lane::Avx2.available() => {
-            // SAFETY: AVX2 support was just verified on this CPU.
-            return unsafe { x86::eq64_avx2(a, b) };
-        }
-        Lane::Sse2 if Lane::Sse2.available() => {
-            // SAFETY: SSE2 support was just verified on this CPU.
-            return unsafe { x86::eq64_sse2(a, b) };
-        }
-        _ => {}
-    }
-    let _ = lane;
-    eq64_inline(a, b)
-}
-
-/// [`eq64_on`], inlined at the call site. A 64-byte compare is too
-/// small to amortize a lane test plus a non-inlinable
+/// Whether two 64-byte blocks are byte-identical. A 64-byte compare is
+/// too small to amortize a lane test plus a non-inlinable
 /// `#[target_feature]` call (and `a == b` on byte arrays lowers to a
 /// libc `bcmp` call): eight branch-free u64 word compares vectorize
 /// under the baseline target features and stay in the caller.
 #[inline]
 pub fn eq64(a: &[u8; 64], b: &[u8; 64]) -> bool {
-    eq64_inline(a, b)
-}
-
-#[inline]
-fn eq64_inline(a: &[u8; 64], b: &[u8; 64]) -> bool {
     let mut diff = 0u64;
     for i in 0..8 {
         let x = u64::from_le_bytes(a[i * 8..i * 8 + 8].try_into().unwrap());
@@ -391,30 +292,24 @@ fn eq64_inline(a: &[u8; 64], b: &[u8; 64]) -> bool {
     diff == 0
 }
 
-/// Copy one 64-byte block.
+/// [`eq64`] under a lane argument it ignores. Kept only because the
+/// benchmark's `dg-simd.eq64_ns.*` probe calls it.
+#[doc(hidden)]
 #[inline]
-pub fn copy64_on(lane: Lane, dst: &mut [u8; 64], src: &[u8; 64]) {
-    #[cfg(target_arch = "x86_64")]
-    if matches!(lane, Lane::Avx2) && Lane::Avx2.available() {
-        // SAFETY: AVX2 support was just verified on this CPU.
-        unsafe { x86::copy64_avx2(dst, src) };
-        return;
-    }
-    let _ = lane;
-    *dst = *src;
+pub fn eq64_on(_lane: Lane, a: &[u8; 64], b: &[u8; 64]) -> bool {
+    eq64(a, b)
 }
 
-/// [`copy64_on`], inlined at the call site: a fixed 64-byte move
-/// lowers to four 128-bit (or two 256-bit, under wider target
-/// features) register moves inline — already the vector ideal, with
-/// no lane test or call to amortize.
+/// Copy one 64-byte block: a fixed 64-byte move lowers to four 128-bit
+/// (or two 256-bit, under wider target features) register moves inline
+/// — already the vector ideal, with no lane test or call to amortize.
 #[inline]
 pub fn copy64(dst: &mut [u8; 64], src: &[u8; 64]) {
     *dst = *src;
 }
 
 // ----------------------------------------------------------------------
-// x86_64 kernels.
+// x86_64 AVX2 kernels.
 // ----------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -428,8 +323,6 @@ mod x86 {
     // or NaN, `hi` when `v > hi`, and `lo` when `v < lo`: exactly
     // `f64::clamp`. The accumulating min/max pass `v` first so a NaN
     // element leaves the accumulator (second operand) untouched.
-
-    // ---------------- AVX2 ----------------
 
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -537,155 +430,6 @@ mod x86 {
         }
         mask
     }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn eq64_avx2(a: &[u8; 64], b: &[u8; 64]) -> bool {
-        let a0 = _mm256_loadu_si256(a.as_ptr() as *const __m256i);
-        let a1 = _mm256_loadu_si256(a.as_ptr().add(32) as *const __m256i);
-        let b0 = _mm256_loadu_si256(b.as_ptr() as *const __m256i);
-        let b1 = _mm256_loadu_si256(b.as_ptr().add(32) as *const __m256i);
-        let eq = _mm256_and_si256(_mm256_cmpeq_epi8(a0, b0), _mm256_cmpeq_epi8(a1, b1));
-        _mm256_movemask_epi8(eq) == -1
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn copy64_avx2(dst: &mut [u8; 64], src: &[u8; 64]) {
-        let v0 = _mm256_loadu_si256(src.as_ptr() as *const __m256i);
-        let v1 = _mm256_loadu_si256(src.as_ptr().add(32) as *const __m256i);
-        _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, v0);
-        _mm256_storeu_si256(dst.as_mut_ptr().add(32) as *mut __m256i, v1);
-    }
-
-    // ---------------- SSE2 ----------------
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn clamp2(v: __m128d, lo: __m128d, hi: __m128d) -> __m128d {
-        _mm_max_pd(lo, _mm_min_pd(hi, v))
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn decode_clamp_sse2(
-        kind: ElemKind,
-        bytes: &[u8; 64],
-        lo: f64,
-        hi: f64,
-        out: &mut [f64; 64],
-    ) -> usize {
-        let lo_v = _mm_set1_pd(lo);
-        let hi_v = _mm_set1_pd(hi);
-        let src = bytes.as_ptr();
-        let dst = out.as_mut_ptr();
-        match kind {
-            ElemKind::F64 => {
-                for i in 0..4 {
-                    let v = _mm_loadu_pd(src.add(i * 16) as *const f64);
-                    _mm_storeu_pd(dst.add(i * 2), clamp2(v, lo_v, hi_v));
-                }
-            }
-            ElemKind::F32 => {
-                for i in 0..4 {
-                    let v4 = _mm_loadu_ps(src.add(i * 16) as *const f32);
-                    let d0 = _mm_cvtps_pd(v4); // low two f32s, exact
-                    let d1 = _mm_cvtps_pd(_mm_movehl_ps(v4, v4)); // high two
-                    _mm_storeu_pd(dst.add(i * 4), clamp2(d0, lo_v, hi_v));
-                    _mm_storeu_pd(dst.add(i * 4 + 2), clamp2(d1, lo_v, hi_v));
-                }
-            }
-            ElemKind::I32 => {
-                for i in 0..4 {
-                    let v = _mm_loadu_si128(src.add(i * 16) as *const __m128i);
-                    let d0 = _mm_cvtepi32_pd(v); // low two i32s, exact
-                    let d1 = _mm_cvtepi32_pd(_mm_shuffle_epi32::<0x0E>(v)); // high two
-                    _mm_storeu_pd(dst.add(i * 4), clamp2(d0, lo_v, hi_v));
-                    _mm_storeu_pd(dst.add(i * 4 + 2), clamp2(d1, lo_v, hi_v));
-                }
-            }
-            ElemKind::U8 => {
-                let zero = _mm_setzero_si128();
-                for i in 0..8 {
-                    let v = _mm_loadl_epi64(src.add(i * 8) as *const __m128i);
-                    let w16 = _mm_unpacklo_epi8(v, zero); // 8 × u16
-                    let a = _mm_unpacklo_epi16(w16, zero); // bytes 0..4 as u32
-                    let b = _mm_unpackhi_epi16(w16, zero); // bytes 4..8 as u32
-                    for (half, w) in [a, b].into_iter().enumerate() {
-                        let d0 = _mm_cvtepi32_pd(w);
-                        let d1 = _mm_cvtepi32_pd(_mm_shuffle_epi32::<0x0E>(w));
-                        let base = i * 8 + half * 4;
-                        _mm_storeu_pd(dst.add(base), clamp2(d0, lo_v, hi_v));
-                        _mm_storeu_pd(dst.add(base + 2), clamp2(d1, lo_v, hi_v));
-                    }
-                }
-            }
-        }
-        kind.count()
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn min_max_sse2(vals: &[f64]) -> (f64, f64) {
-        let mut vmin = _mm_set1_pd(f64::INFINITY);
-        let mut vmax = _mm_set1_pd(f64::NEG_INFINITY);
-        let chunks = vals.len() / 2;
-        for i in 0..chunks {
-            let v = _mm_loadu_pd(vals.as_ptr().add(i * 2));
-            vmin = _mm_min_pd(v, vmin);
-            vmax = _mm_max_pd(v, vmax);
-        }
-        let mut mn = [0f64; 2];
-        let mut mx = [0f64; 2];
-        _mm_storeu_pd(mn.as_mut_ptr(), vmin);
-        _mm_storeu_pd(mx.as_mut_ptr(), vmax);
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for j in 0..2 {
-            if mn[j] < min {
-                min = mn[j];
-            }
-            if mx[j] > max {
-                max = mx[j];
-            }
-        }
-        for &v in &vals[chunks * 2..] {
-            if v < min {
-                min = v;
-            }
-            if v > max {
-                max = v;
-            }
-        }
-        (min, max)
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn match_mask_sse2(keys: &[u64], key: u64) -> u64 {
-        let needle = _mm_set1_epi64x(key as i64);
-        let mut mask = 0u64;
-        let chunks = keys.len() / 2;
-        for i in 0..chunks {
-            let v = _mm_loadu_si128(keys.as_ptr().add(i * 2) as *const __m128i);
-            let eq32 = _mm_cmpeq_epi32(v, needle);
-            // A 64-bit lane matches iff both of its 32-bit halves do.
-            let eq = _mm_and_si128(eq32, _mm_shuffle_epi32::<0xB1>(eq32));
-            let m = _mm_movemask_pd(_mm_castsi128_pd(eq)) as u32 as u64;
-            mask |= m << (i * 2);
-        }
-        for (j, &k) in keys[chunks * 2..].iter().enumerate() {
-            if k == key {
-                mask |= 1 << (chunks * 2 + j);
-            }
-        }
-        mask
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn eq64_sse2(a: &[u8; 64], b: &[u8; 64]) -> bool {
-        let mut eq = _mm_set1_epi8(-1);
-        for i in 0..4 {
-            let av = _mm_loadu_si128(a.as_ptr().add(i * 16) as *const __m128i);
-            let bv = _mm_loadu_si128(b.as_ptr().add(i * 16) as *const __m128i);
-            eq = _mm_and_si128(eq, _mm_cmpeq_epi8(av, bv));
-        }
-        _mm_movemask_epi8(eq) == 0xFFFF
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -716,33 +460,12 @@ mod tests {
         }
     }
 
-    fn vector_lanes() -> Vec<Lane> {
-        [Lane::Sse2, Lane::Avx2].into_iter().filter(|l| l.available()).collect()
+    /// The vector lane under test, when this host has it.
+    fn avx2() -> Option<Lane> {
+        Lane::Avx2.available().then_some(Lane::Avx2)
     }
 
-    #[test]
-    fn lane_selection_policy() {
-        assert_eq!(select_lane(Some("off")), Lane::Scalar);
-        assert_eq!(select_lane(Some("scalar")), Lane::Scalar);
-        assert_eq!(select_lane(Some("0")), Lane::Scalar);
-        assert_eq!(select_lane(Some("OFF")), Lane::Scalar);
-        let best = select_lane(None);
-        assert_eq!(select_lane(Some("on")), best);
-        assert_eq!(select_lane(Some("auto")), best);
-        assert_eq!(select_lane(Some(" on ")), best);
-        assert_eq!(select_lane(Some("definitely-not-a-lane")), best);
-        if Lane::Sse2.available() {
-            assert_eq!(select_lane(Some("sse2")), Lane::Sse2);
-        }
-        if Lane::Avx2.available() {
-            assert_eq!(select_lane(Some("avx2")), Lane::Avx2);
-        }
-        assert!(Lane::Scalar.available());
-        assert_eq!(Lane::Scalar.name(), "scalar");
-        assert_eq!(Lane::Avx2.name(), "avx2");
-    }
-
-    /// The documented tie rule the vector min/max kernels rely on:
+    /// The documented tie rule the vector min/max kernel relies on:
     /// `minpd`/`maxpd` return the second operand on equal-zero ties,
     /// while the scalar fold uses `f64::min`/`f64::max`. Both must
     /// agree *numerically*; bitwise agreement on the sign of a zero is
@@ -770,7 +493,7 @@ mod tests {
                     let mut want = [0f64; 64];
                     let n = decode_clamp_on(Lane::Scalar, kind, &bytes, lo, hi, &mut want);
                     assert_eq!(n, kind.count());
-                    for lane in vector_lanes() {
+                    if let Some(lane) = avx2() {
                         let mut got = [0f64; 64];
                         let m = decode_clamp_on(lane, kind, &bytes, lo, hi, &mut got);
                         assert_eq!(m, n);
@@ -809,7 +532,7 @@ mod tests {
         for (lo, hi) in [(-1.0, 1.0), (0.0, 10.0), (f64::MIN, f64::MAX)] {
             let mut want = [0f64; 64];
             let n = decode_clamp_on(Lane::Scalar, ElemKind::F64, &bytes, lo, hi, &mut want);
-            for lane in vector_lanes() {
+            if let Some(lane) = avx2() {
                 let mut got = [0f64; 64];
                 decode_clamp_on(lane, ElemKind::F64, &bytes, lo, hi, &mut got);
                 for i in 0..n {
@@ -829,7 +552,7 @@ mod tests {
         }
         let mut want = [0f64; 64];
         let n = decode_clamp_on(Lane::Scalar, ElemKind::F32, &fb, -2.0, 2.0, &mut want);
-        for lane in vector_lanes() {
+        if let Some(lane) = avx2() {
             let mut got = [0f64; 64];
             decode_clamp_on(lane, ElemKind::F32, &fb, -2.0, 2.0, &mut got);
             for i in 0..n {
@@ -862,7 +585,7 @@ mod tests {
                 };
             }
             let (smin, smax) = min_max_on(Lane::Scalar, &vals);
-            for lane in vector_lanes() {
+            if let Some(lane) = avx2() {
                 let (vmin, vmax) = min_max_on(lane, &vals);
                 // NaN accumulators are impossible; compare numerically
                 // (±0 ties may differ in sign, which nothing observes)
@@ -905,27 +628,37 @@ mod tests {
         assert_eq!(sum_seq(&vals).to_bits(), manual.to_bits());
     }
 
+    /// Every set width `match_mask_on` accepts (0..=64 ways), so every
+    /// AVX2 chunk shift up to bit 63 and every tail length 0–3 meets
+    /// the scalar reference.
     #[test]
     fn match_mask_lanes_match_scalar() {
         let mut g = Gen(3);
-        for _ in 0..500 {
-            let len = (g.next() % 20) as usize;
-            let mut keys = vec![0u64; len];
-            for k in keys.iter_mut() {
-                // Small key space forces collisions; occasionally use
-                // keys whose 32-bit halves match other keys' halves to
-                // stress the SSE2 half-compare trick.
-                *k = match g.next() % 4 {
-                    0 => g.next() % 4,
-                    1 => (g.next() % 4) << 32,
-                    2 => ((g.next() % 4) << 32) | (g.next() % 4),
-                    _ => g.next(),
-                };
+        for len in 0..=64usize {
+            // All keys equal: every bit of the mask is set.
+            let same = vec![7u64; len];
+            let full = if len == 64 { u64::MAX } else { (1u64 << len) - 1 };
+            for lane in Lane::ALL.into_iter().filter(|l| l.available()) {
+                assert_eq!(match_mask_on(lane, &same, 7), full, "{lane:?} len {len}");
             }
-            let needle = if len > 0 && g.next() % 2 == 0 { keys[(g.next() as usize) % len] } else { g.next() };
-            let want = match_mask_on(Lane::Scalar, &keys, needle);
-            for lane in vector_lanes() {
-                assert_eq!(want, match_mask_on(lane, &keys, needle), "{lane:?} keys {keys:?} needle {needle}");
+            for _ in 0..8 {
+                let mut keys = vec![0u64; len];
+                for k in keys.iter_mut() {
+                    // Small key space forces collisions; occasionally
+                    // use keys whose 32-bit halves match other keys'
+                    // halves.
+                    *k = match g.next() % 4 {
+                        0 => g.next() % 4,
+                        1 => (g.next() % 4) << 32,
+                        2 => ((g.next() % 4) << 32) | (g.next() % 4),
+                        _ => g.next(),
+                    };
+                }
+                let needle = if len > 0 && g.next().is_multiple_of(2) { keys[(g.next() as usize) % len] } else { g.next() };
+                let want = match_mask_on(Lane::Scalar, &keys, needle);
+                if let Some(lane) = avx2() {
+                    assert_eq!(want, match_mask_on(lane, &keys, needle), "{lane:?} keys {keys:?} needle {needle}");
+                }
             }
         }
     }
@@ -946,29 +679,29 @@ mod tests {
     }
 
     #[test]
-    fn eq64_and_copy64_lanes_agree() {
+    fn eq64_and_copy64_match_byte_ops() {
         let mut g = Gen(4);
         for _ in 0..200 {
             let a = g.bytes();
             let mut b = a;
-            if g.next() % 2 == 0 {
+            if g.next().is_multiple_of(2) {
                 let i = (g.next() % 64) as usize;
                 b[i] ^= (1 + (g.next() % 255)) as u8;
             }
-            let want = a == b;
-            for lane in Lane::ALL.into_iter().filter(|l| l.available()) {
-                assert_eq!(eq64_on(lane, &a, &b), want, "{lane:?}");
-                let mut dst = [0u8; 64];
-                copy64_on(lane, &mut dst, &a);
-                assert_eq!(dst, a, "{lane:?}");
-            }
+            assert_eq!(eq64(&a, &b), a == b);
+            let mut dst = [0u8; 64];
+            copy64(&mut dst, &a);
+            assert_eq!(dst, a);
         }
     }
 
     #[test]
-    fn global_lane_is_cached_and_available() {
+    fn global_lane_is_the_best_available() {
         let l = lane();
         assert!(l.available());
-        assert_eq!(l, lane());
+        assert_eq!(l, if Lane::Avx2.available() { Lane::Avx2 } else { Lane::Scalar });
+        assert!(Lane::Scalar.available());
+        assert!(!Lane::Sse2.available(), "the SSE2 lane is a name only");
+        assert_eq!(Lane::ALL.map(Lane::name), ["scalar", "sse2", "avx2"]);
     }
 }

@@ -254,8 +254,8 @@ impl MapSpace {
     ///
     /// Values are clamped into the annotated range before hashing, as
     /// the paper requires for out-of-range runtime values (§4.1).
-    /// Dispatches to the process-wide SIMD lane (`DG_SIMD` override);
-    /// all lanes are map-bit-identical — see [`Self::map_block_on`].
+    /// Dispatches to the process-wide SIMD lane (AVX2 when the CPU has
+    /// it); all lanes are map-bit-identical — see [`Self::map_block_on`].
     pub fn map_block(self, block: &BlockData, region: &ApproxRegion) -> MapValue {
         self.map_block_on(dg_simd::lane(), block, region)
     }

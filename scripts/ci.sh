@@ -6,8 +6,8 @@
 # cargo clippy on the workspace, exit status only +
 # cargo doc with broken intra-doc links denied +
 # benchmark smoke run checked against benchmark/golden/* +
-# hermeticity + differential oracle on both the SIMD and scalar lanes +
-# byte-diff of deterministic exports across DG_SIMD lanes +
+# hermeticity + differential oracle +
+# byte-diff of deterministic exports across worker counts +
 # the paper-claims gate (validate_repro --small) + profile smoke +
 # the concurrent server's analytic hit-rate gate +
 # monitored-serve smoke asserting the telemetry plane

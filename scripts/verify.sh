@@ -57,41 +57,37 @@ if [ -n "$violations" ]; then
 fi
 echo "ok: dependency graph is workspace-only"
 
-echo "== differential oracle: repro_all --small --check (SIMD + scalar) =="
+echo "== differential oracle: repro_all --small --check =="
 # The primary correctness gate: every suite kernel's trace is replayed
 # in lockstep through the optimized engine and the dg-oracle reference
 # across every table/figure configuration; the first diverging
 # observable (counter, victim, writeback, loaded byte, final DRAM
-# block) fails with its access index. This subsumes the old
-# double-run-and-diff determinism check — the oracle is deterministic,
-# so agreement with it on every observable implies determinism and
-# pins the semantics besides. The grid runs twice: once on the
-# auto-detected SIMD lane and once with DG_SIMD=off, so the scalar
-# reference path and the vector path are both held to the oracle.
+# block) fails with its access index. The oracle is deterministic, so
+# agreement with it on every observable implies determinism and pins
+# the semantics besides. (Scalar and AVX2 map generation are held to
+# each other by the dg-simd, dg-mem and doppelganger lane tests.)
 cargo run --release --offline -q -p dg-bench --bin repro_all -- --small --check
-DG_SIMD=off cargo run --release --offline -q -p dg-bench --bin repro_all -- --small --check
-echo "ok: optimized engine agrees with the oracle on every configuration (both lanes)"
+echo "ok: optimized engine agrees with the oracle on every configuration"
 
-echo "== SIMD lane identity: byte-diff deterministic exports =="
-# The SIMD kernels promise bit-identical simulation, not merely close:
-# the result export (a pure function of the simulation, no wall-clock
-# or provenance fields) must byte-match across DG_SIMD=auto/off/sse2.
-simd_dir=$(mktemp -d)
-for lane in auto off sse2; do
-  DG_SIMD=$lane cargo run --release --offline -q -p dg-bench --bin repro_all -- \
-    --small --json "$simd_dir/rows_$lane.json" > /dev/null 2>/dev/null
-done
-cmp "$simd_dir/rows_auto.json" "$simd_dir/rows_off.json"
-cmp "$simd_dir/rows_auto.json" "$simd_dir/rows_sse2.json"
-rm -rf "$simd_dir"
-echo "ok: exports byte-identical across SIMD lanes"
+echo "== export determinism: byte-diff repro_all --small --json across worker counts =="
+# The result export (a pure function of the simulation, no wall-clock
+# or provenance fields) must byte-match between the default worker
+# pool and a single worker.
+export_dir=$(mktemp -d)
+cargo run --release --offline -q -p dg-bench --bin repro_all -- \
+  --small --json "$export_dir/rows.json" > /dev/null
+DG_PAR_THREADS=1 cargo run --release --offline -q -p dg-bench --bin repro_all -- \
+  --small --json "$export_dir/rows_serial.json" > /dev/null
+cmp "$export_dir/rows.json" "$export_dir/rows_serial.json"
+rm -rf "$export_dir"
+echo "ok: exports byte-identical across worker counts"
 
 echo "== paper claims: validate_repro --small =="
 # The artifact-evaluation gate: Table 3's structural numbers, the Fig. 13
 # area reduction, and sanity bands on the Fig. 7/9a savings and error
 # and on baseline exactness; exits 1 if any claim leaves its band. (The
-# full small-scale figure pass already ran three times in the SIMD lane
-# identity stage above, under set -e.)
+# full small-scale figure pass already ran twice in the export
+# determinism stage above, under set -e.)
 cargo run --release --offline -q -p dg-bench --bin validate_repro -- --small > /dev/null
 echo "ok: every reproduction claim within band"
 
