@@ -1,7 +1,7 @@
 //! Strict-parsing building blocks shared by every bench binary.
 //!
-//! `repro_all`, `serve_bench`, `serve_monitor` and the figure binaries
-//! ([`crate::scale_from_args`]) each match their arguments against a
+//! `repro_all`, `serve_bench`, `serve_monitor`, `trace_tool` and
+//! `validate_profile` each match their arguments against a
 //! closed set — anything unknown, duplicated or malformed aborts with a
 //! usage message and exit status [`USAGE_EXIT`] instead of being
 //! silently ignored. The mechanics of that contract (duplicate

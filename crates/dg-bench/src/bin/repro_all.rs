@@ -1,15 +1,24 @@
 //! Runs every table and figure of the paper's evaluation in one pass,
 //! sharing simulation runs between figures. This is the binary that
-//! generates the data recorded in EXPERIMENTS.md.
+//! generates the data recorded in EXPERIMENTS.md (`repro_all_paper.txt`
+//! is its paper-scale stdout).
 //!
 //! Usage:
 //! `cargo run --release -p dg-bench --bin repro_all [--small | --medium] [--check] [--sampled[=K]] [--sampled-check] [--profile[=PATH]] [--json PATH]`
 //!
+//! With no mode flag it prints Tables 2–3 and Figs. 2 and 7–14, then
+//! the extensions (Touché-style LLC, LLC energy breakdown,
+//! multiprogrammed pairs, the data-array policy and hash ablations) and,
+//! last, the paper-claims gate: each headline number against its band.
+//! The exit status is 1 if any claim leaves its band.
+//!
 //! `--check` runs the differential-oracle gate instead of the figures:
 //! every kernel trace is replayed in lockstep through the optimized
-//! engine and the `dg-oracle` reference across every table/figure
-//! configuration, and the process exits non-zero on the first
-//! divergence. `--sampled[=K]` replaces the figures with the sampled
+//! engine and the `dg-oracle` reference across every configuration of
+//! the paper's tables and figures (the ablation variants are replayed
+//! by the tier-1 test `tests/lockstep.rs` instead), and the process
+//! exits non-zero on the first divergence. `--sampled[=K]` replaces the
+//! figures with the sampled
 //! sweep (K representative intervals per kernel over the same
 //! configuration grid); `--sampled-check` gates those estimates against
 //! full-coverage references (see `dg_bench::sampled`). `--profile` runs
@@ -86,9 +95,11 @@ fn main() {
     figures::fig13(scale).print("Fig. 13: LLC area reduction");
 
     let base = figures::baseline_snapshots(scale);
+    let s14 = figures::savings_14(&base.snapshots);
     figures::fig02(&base.snapshots).print("Fig. 2: storage savings vs similarity threshold T");
-    figures::fig07(&base.snapshots).print("Fig. 7: storage savings vs map space");
-    figures::fig08(&base.snapshots).print("Fig. 8: storage savings vs BdI and exact deduplication");
+    figures::fig07(&base.snapshots, &s14).print("Fig. 7: storage savings vs map space");
+    figures::fig08(&base.snapshots, &s14)
+        .print("Fig. 8: storage savings vs BdI and exact deduplication");
 
     let mut sweep = Sweep::new(scale);
     figures::table2(&mut sweep).print("Table 2: approximate LLC footprint");
@@ -119,10 +130,41 @@ fn main() {
     figures::compressed_storage(&mut sweep, &base.snapshots)
         .print("Touche LLC (d): realized BdI storage savings vs the Fig. 8 bound");
 
+    figures::energy_breakdown(&mut sweep)
+        .print("LLC dynamic-energy breakdown (split design, 14-bit, 1/4 data)");
+    println!("(shares of each benchmark's total dynamic LLC energy)");
+
+    figures::multiprog(&mut sweep)
+        .print("Multiprogrammed pairs: per-application output error (split LLC)");
+    println!(
+        "(Sharing one Doppelganger cache across applications with separate\n\
+         annotations; maps never alias across annotation envelopes.)"
+    );
+
+    let (run, traffic, err) = figures::ablation_policy(&mut sweep);
+    run.print("Ablation: data-array policy — normalized runtime");
+    traffic.print("Ablation: data-array policy — normalized off-chip traffic");
+    err.print("Ablation: data-array policy — output error");
+
+    let (savings, err) = figures::ablation_hash(&mut sweep, &base.snapshots, &s14);
+    savings.print("Ablation: hash functions — storage savings (14-bit map space)");
+    err.print("Ablation: hash functions — output error (split design)");
+
+    let claims = figures::claims(&mut sweep, &s14);
+    println!("\n== Paper claims: headline numbers against their bands ==\n");
+    print!("{}", claims.report());
+    if claims.failures() == 0 {
+        println!("\nall reproduction claims within band");
+    }
+
     if let Some(path) = args.json.as_deref() {
         match dg_bench::results::export_sweep(&sweep, std::path::Path::new(path)) {
             Ok(()) => eprintln!("[repro_all] wrote {path}"),
             Err(e) => eprintln!("[repro_all] failed to write {path}: {e}"),
         }
+    }
+    if claims.failures() > 0 {
+        eprintln!("\nvalidation FAILED: {} claim(s) out of band", claims.failures());
+        std::process::exit(1);
     }
 }

@@ -5,18 +5,33 @@
 //! metric registry per row including the hot-path histograms.
 //!
 //! Usage: `cargo run --release -p dg-bench --bin validate_profile [PATH]`
-//! (default `PROFILE_repro.json`). Exits non-zero with a message on the
-//! first violation.
+//! (default `PROFILE_repro.json`). Exits 1 with a message on the first
+//! violation, and 2 with usage on a flag-shaped or second argument.
 
+use dg_bench::argparse::usage_error;
 use dg_bench::json::Json;
+
+const USAGE: &str = "usage: validate_profile [PATH]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("validate_profile: {msg}");
     std::process::exit(1);
 }
 
+fn parse_path() -> Result<String, String> {
+    let mut args = std::env::args().skip(1);
+    let path = args.next().unwrap_or_else(|| "PROFILE_repro.json".to_string());
+    if path.starts_with("--") {
+        return Err(format!("unknown argument '{path}'"));
+    }
+    match args.next() {
+        Some(extra) => Err(format!("unexpected argument '{extra}'")),
+        None => Ok(path),
+    }
+}
+
 fn main() {
-    let path = std::env::args().nth(1).unwrap_or_else(|| "PROFILE_repro.json".to_string());
+    let path = parse_path().unwrap_or_else(|e| usage_error("validate_profile", &e, USAGE));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let doc = Json::parse(&text).unwrap_or_else(|e| fail(&format!("{path} is not JSON: {e}")));

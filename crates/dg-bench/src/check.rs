@@ -2,9 +2,12 @@
 //!
 //! Captures one trace per suite kernel and replays it in lockstep
 //! (optimized engine vs. `dg-oracle` reference) through every distinct
-//! system configuration the tables and figures use. Any divergence —
-//! a mismatched counter, victim, writeback, loaded byte or final DRAM
-//! block — fails the gate with the first diverging access index.
+//! system configuration of the paper's tables and figures. Any
+//! divergence — a mismatched counter, victim, writeback, loaded byte or
+//! final DRAM block — fails the gate with the first diverging access
+//! index. The ablation variants `repro_all` also prints (`hash-*`,
+//! `policy-fewest-sharers`) are not in this grid; the tier-1 test
+//! `tests/lockstep.rs` replays them.
 
 use crate::experiments::{kernel_names, suite, Scale};
 use dg_mem::Trace;
@@ -12,7 +15,7 @@ use dg_oracle::{lockstep, Divergence, LockstepSummary};
 use dg_par::Pool;
 use dg_system::{capture_trace, SystemConfig};
 
-/// Every distinct system configuration exercised by the evaluation:
+/// Every distinct system configuration of the paper's evaluation:
 /// the baseline, the map-space sweep (Fig. 9), the data-array sweep
 /// (Fig. 10; 1/4 doubles as the base design point of Figs. 11–13), the
 /// uniDoppelgänger sweep (Fig. 14), and the Touché-style compressed

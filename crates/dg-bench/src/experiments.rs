@@ -1,4 +1,6 @@
-//! Sweep machinery shared by the figure/table binaries.
+//! Sweep machinery behind `repro_all`'s figure pass (and the suite,
+//! scales and configurations the check, sampled and profile passes
+//! share).
 //!
 //! Evaluations are scheduled on the `dg-par` work-stealing pool:
 //! [`Sweep::run_batch`] turns every missing (configuration × kernel)
@@ -45,8 +47,8 @@ pub fn suite(scale: Scale) -> Vec<Box<dyn Kernel>> {
     suite_with_seed(scale, SEED)
 }
 
-/// The benchmark suite with an explicit input seed (multi-seed
-/// stability studies).
+/// The benchmark suite with an explicit input seed (the repository
+/// benchmark's `--seed`).
 pub fn suite_with_seed(scale: Scale, seed: u64) -> Vec<Box<dyn Kernel>> {
     match scale {
         Scale::Small => dg_workloads::small_suite(seed),
@@ -152,7 +154,7 @@ fn golden_memo() -> &'static Mutex<HashMap<GoldenKey, Arc<Vec<f64>>>> {
 ///
 /// Memoized process-wide per `(scale, seed, threads, kernel)`: the
 /// golden run is configuration-independent, so every sweep, figure,
-/// and stability pass in one process shares a single golden run per
+/// profile and sampled pass in one process shares a single golden run per
 /// kernel. Missing entries are computed in parallel on a fresh pool.
 pub fn suite_goldens(scale: Scale, seed: u64, threads: usize) -> Vec<Arc<Vec<f64>>> {
     let kernels = suite_with_seed(scale, seed);
@@ -242,7 +244,7 @@ pub fn baseline_artifacts(scale: Scale, seed: u64, threads: usize) -> Arc<Baseli
 }
 
 /// Runs (kernel × configuration) evaluations, caching results so
-/// binaries can reference the same run from several tables.
+/// several tables can read the same run.
 ///
 /// [`run_batch`](Sweep::run_batch) schedules every missing
 /// (configuration × kernel) pair as one job set on a work-stealing

@@ -1,20 +1,21 @@
 //! One report function per table/figure of the paper's evaluation.
 //!
-//! Binaries in `src/bin/` are thin wrappers over these functions; the
-//! `repro_all` binary calls all of them, sharing one [`Sweep`] so
-//! configurations evaluated by several figures run once.
+//! The `repro_all` binary calls all of them, sharing one [`Sweep`] and
+//! one set of baseline snapshots, so a configuration several tables
+//! read — above all the base split design `split-m14-d1/4` — runs once.
 
 use crate::experiments::{
-    baseline_artifacts, kernel_names, mean, reduction, BaselineArtifacts, Scale, Sweep, SEED,
+    baseline_artifacts, kernel_names, mean, reduction, suite, BaselineArtifacts, Scale, Sweep, SEED,
 };
 use crate::Table;
-use dg_system::llc_area_mm2;
-use dg_system::LlcKind;
+use dg_system::multiprog::run_pair;
 use dg_system::similarity::{
     avg_bdi_savings, avg_dedup_savings, avg_dopp_bdi_savings, avg_map_savings,
     avg_threshold_savings, Snapshot,
 };
-use doppelganger::{DoppelgangerConfig, HardwareCost, MapSpace};
+use dg_system::{golden_output, llc_area_mm2, LlcKind, SystemConfig};
+use doppelganger::{DataPolicy, DoppelgangerConfig, HardwareCost, MapHash, MapSpace};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Per-kernel LLC snapshots under the baseline configuration, in suite
@@ -27,9 +28,8 @@ pub fn baseline_snapshots(scale: Scale) -> Arc<BaselineArtifacts> {
 
 /// Schedule `labels × kernels` plus the baseline as one batch so the
 /// pool sees every job up front.
-fn batch_with_baseline(sweep: &mut Sweep, labels: &[&str], configs: &[dg_system::SystemConfig]) {
-    let mut jobs: Vec<(&str, dg_system::SystemConfig)> =
-        Vec::with_capacity(labels.len() + 1);
+fn batch_with_baseline(sweep: &mut Sweep, labels: &[&str], configs: &[SystemConfig]) {
+    let mut jobs: Vec<(&str, SystemConfig)> = Vec::with_capacity(labels.len() + 1);
     jobs.push(("baseline", sweep.scale().baseline()));
     jobs.extend(labels.iter().copied().zip(configs.iter().copied()));
     sweep.run_batch(&jobs);
@@ -79,17 +79,24 @@ pub fn table2(sweep: &mut Sweep) -> Table {
     t
 }
 
+/// Per-kernel approximate-data storage savings of the paper's map
+/// space (14 bits, avg+range), in suite order: the one similarity pass
+/// that Figs. 7 and 8, the hash ablation and the claims gate share.
+pub fn savings_14(snaps: &[Vec<Snapshot>]) -> Vec<f64> {
+    snaps.iter().map(|ks| avg_map_savings(ks, MapSpace::new(14))).collect()
+}
+
 /// Fig. 7: approximate-data storage savings for 12/13/14-bit map
-/// spaces.
-pub fn fig07(snaps: &[Vec<Snapshot>]) -> Table {
-    let spaces = [12, 13, 14];
+/// spaces; `s14` is [`savings_14`] of `snaps`.
+pub fn fig07(snaps: &[Vec<Snapshot>], s14: &[f64]) -> Table {
     let mut t = Table::new(&["12-bit", "13-bit", "14-bit"]);
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); spaces.len()];
-    for (name, ksnaps) in kernel_names().iter().zip(snaps) {
-        let vals: Vec<f64> = spaces
-            .iter()
-            .map(|&m| avg_map_savings(ksnaps, MapSpace::new(m)))
-            .collect();
+    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
+    for ((name, ksnaps), &m14) in kernel_names().iter().zip(snaps).zip(s14) {
+        let vals = vec![
+            avg_map_savings(ksnaps, MapSpace::new(12)),
+            avg_map_savings(ksnaps, MapSpace::new(13)),
+            m14,
+        ];
         for (c, v) in cols.iter_mut().zip(&vals) {
             c.push(*v);
         }
@@ -100,15 +107,15 @@ pub fn fig07(snaps: &[Vec<Snapshot>]) -> Table {
 }
 
 /// Fig. 8: BΔI vs. exact dedup vs. 14-bit Doppelgänger vs. 14-bit
-/// Doppelgänger + BΔI.
-pub fn fig08(snaps: &[Vec<Snapshot>]) -> Table {
+/// Doppelgänger + BΔI; `s14` is [`savings_14`] of `snaps`.
+pub fn fig08(snaps: &[Vec<Snapshot>], s14: &[f64]) -> Table {
     let mut t = Table::new(&["BdI", "exact dedup", "14-bit Dopp", "Dopp+BdI"]);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for (name, ksnaps) in kernel_names().iter().zip(snaps) {
+    for ((name, ksnaps), &m14) in kernel_names().iter().zip(snaps).zip(s14) {
         let vals = vec![
             avg_bdi_savings(ksnaps),
             avg_dedup_savings(ksnaps),
-            avg_map_savings(ksnaps, MapSpace::new(14)),
+            m14,
             avg_dopp_bdi_savings(ksnaps, MapSpace::new(14)),
         ];
         for (c, v) in cols.iter_mut().zip(&vals) {
@@ -123,7 +130,7 @@ pub fn fig08(snaps: &[Vec<Snapshot>]) -> Table {
 fn error_and_runtime(
     sweep: &mut Sweep,
     labels: &[&str],
-    configs: &[dg_system::SystemConfig],
+    configs: &[SystemConfig],
     columns: &[&str],
 ) -> (Table, Table) {
     batch_with_baseline(sweep, labels, configs);
@@ -185,7 +192,7 @@ pub fn fig10(sweep: &mut Sweep) -> (Table, Table) {
 fn energy_tables(
     sweep: &mut Sweep,
     labels: &[&str],
-    configs: &[dg_system::SystemConfig],
+    configs: &[SystemConfig],
     columns: &[&str],
 ) -> (Table, Table) {
     batch_with_baseline(sweep, labels, configs);
@@ -233,16 +240,17 @@ pub fn fig11(sweep: &mut Sweep) -> (Table, Table) {
     )
 }
 
-/// Fig. 12: off-chip memory traffic normalized to the baseline.
-pub fn fig12(sweep: &mut Sweep) -> Table {
-    let scale = sweep.scale();
-    let labels = ["split-m14-d1/2", "split-m14-d1/4", "split-m14-d1/8"];
-    let configs = [scale.split(14, 1, 2), scale.split(14, 1, 4), scale.split(14, 1, 8)];
-    batch_with_baseline(sweep, &labels, &configs);
+fn traffic_table(
+    sweep: &mut Sweep,
+    labels: &[&str],
+    configs: &[SystemConfig],
+    columns: &[&str],
+) -> Table {
+    batch_with_baseline(sweep, labels, configs);
     let baseline = sweep.results("baseline");
-    let mut t = Table::new(&["1/2 data", "1/4 data", "1/8 data"]);
+    let mut t = Table::new(columns);
     let n = kernel_names().len();
-    let mut cols = vec![Vec::new(); 3];
+    let mut cols = vec![Vec::new(); configs.len()];
     let mut per_kernel = vec![Vec::new(); n];
     for (label, col) in labels.iter().zip(cols.iter_mut()) {
         let results = sweep.results(label);
@@ -257,6 +265,17 @@ pub fn fig12(sweep: &mut Sweep) -> Table {
     }
     t.row_num("MEAN", &cols.iter().map(|c| mean(c)).collect::<Vec<_>>());
     t
+}
+
+/// Fig. 12: off-chip memory traffic normalized to the baseline.
+pub fn fig12(sweep: &mut Sweep) -> Table {
+    let scale = sweep.scale();
+    traffic_table(
+        sweep,
+        &["split-m14-d1/2", "split-m14-d1/4", "split-m14-d1/8"],
+        &[scale.split(14, 1, 2), scale.split(14, 1, 4), scale.split(14, 1, 8)],
+        &["1/2 data", "1/4 data", "1/8 data"],
+    )
 }
 
 /// Fig. 13: LLC area reduction for the split design (1/2, 1/4, 1/8 data
@@ -342,6 +361,216 @@ pub fn compressed_storage(sweep: &mut Sweep, snaps: &[Vec<Snapshot>]) -> Table {
     t
 }
 
+/// Where the base split design's LLC dynamic energy goes (extends
+/// Fig. 11): each benchmark's total split into the precise partition,
+/// the tag array, the MTag array, the data array and the
+/// map-generation FPUs.
+pub fn energy_breakdown(sweep: &mut Sweep) -> Table {
+    let scale = sweep.scale();
+    let results = sweep.run("split-m14-d1/4", scale.split_default());
+    let mut t = Table::new(&["precise", "dopp tag", "MTag", "dopp data", "map FPUs"]);
+    for (name, r) in kernel_names().iter().zip(results) {
+        let b = r.energy.breakdown;
+        let total = b.total_pj().max(1e-12);
+        t.row_pct(
+            name,
+            &[
+                b.precise_pj / total,
+                b.dopp_tag_pj / total,
+                b.mtag_pj / total,
+                b.dopp_data_pj / total,
+                b.map_pj / total,
+            ],
+        );
+    }
+    t
+}
+
+/// Multiprogrammed pairs (§4.1): two applications with disjoint
+/// address spaces and their own annotations share one split LLC. Each
+/// application's output error in the pair sits next to its solo error
+/// on the base split design.
+pub fn multiprog(sweep: &mut Sweep) -> Table {
+    // 4 GiB separation between the two address spaces.
+    const OFFSET: u64 = 1 << 32;
+    // High-approx / low-approx and high-approx / high-approx pairings.
+    const PAIRS: [(&str, &str); 3] =
+        [("inversek2j", "swaptions"), ("jpeg", "kmeans"), ("blackscholes", "jmeint")];
+    let scale = sweep.scale();
+    let cfg = scale.split_default();
+    let solo = sweep.run("split-m14-d1/4", cfg);
+    let kernels = suite(scale);
+    let index = |name| kernel_names().iter().position(|&k| k == name).expect("suite kernel");
+    let mut t = Table::new(&["solo error A", "pair error A", "solo error B", "pair error B"]);
+    for (na, nb) in PAIRS {
+        let (ia, ib) = (index(na), index(nb));
+        let (a, b) = (kernels[ia].as_ref(), kernels[ib].as_ref());
+        let run = run_pair(a, b, cfg, OFFSET);
+        let threads = scale.threads() / 2;
+        let pair_ea = a.error_metric(&golden_output(a, threads), &run.output_a);
+        let pair_eb = b.error_metric(&golden_output(b, threads), &run.output_b);
+        t.row_pct(
+            &format!("{na}+{nb}"),
+            &[solo[ia].output_error, pair_ea, solo[ib].output_error, pair_eb],
+        );
+        eprintln!(
+            "[multiprog] {na}+{nb}: {} cycles, {} LLC lookups, {} doppel insertions",
+            run.system.runtime_cycles(),
+            run.system.llc_counters().lookups,
+            run.system.llc_counters().dopp.insertions,
+        );
+    }
+    t
+}
+
+/// Ablation (§3.5 future work): the paper's LRU data-array replacement
+/// — the base split design itself — against the sharing-aware
+/// fewest-sharers policy, which evicts the data entry with the fewest
+/// tags. Normalized runtime, normalized off-chip traffic and output
+/// error.
+pub fn ablation_policy(sweep: &mut Sweep) -> (Table, Table, Table) {
+    let scale = sweep.scale();
+    let mut fewest = scale.split_default();
+    fewest.data_policy = DataPolicy::FewestSharers;
+    let labels = ["split-m14-d1/4", "policy-fewest-sharers"];
+    let configs = [scale.split_default(), fewest];
+    let columns = ["LRU", "fewest-sharers"];
+    let (err, run) = error_and_runtime(sweep, &labels, &configs, &columns);
+    let traffic = traffic_table(sweep, &labels, &configs, &columns);
+    (run, traffic, err)
+}
+
+/// Ablation (§3.7 future work): the similarity hash pair. Storage
+/// savings of each [`MapHash`] at 14 bits on the baseline snapshots
+/// (a), and output error on the split design (b). The avg+range
+/// columns are [`savings_14`] (`s14`) and the base split design itself.
+pub fn ablation_hash(sweep: &mut Sweep, snaps: &[Vec<Snapshot>], s14: &[f64]) -> (Table, Table) {
+    let names: Vec<String> = MapHash::ALL.iter().map(|h| h.to_string()).collect();
+    let columns: Vec<&str> = names.iter().map(String::as_str).collect();
+    let mut savings = Table::new(&columns);
+    let mut cols = vec![Vec::new(); MapHash::ALL.len()];
+    for ((name, ksnaps), &m14) in kernel_names().iter().zip(snaps).zip(s14) {
+        let vals: Vec<f64> = MapHash::ALL
+            .iter()
+            .map(|&h| match h {
+                MapHash::AvgRange => m14,
+                _ => avg_map_savings(ksnaps, MapSpace::new(14).with_hash(h)),
+            })
+            .collect();
+        for (c, v) in cols.iter_mut().zip(&vals) {
+            c.push(*v);
+        }
+        savings.row_pct(name, &vals);
+    }
+    savings.row_pct("MEAN", &cols.iter().map(|c| mean(c)).collect::<Vec<_>>());
+
+    let base = sweep.scale().split_default();
+    let (labels, configs): (Vec<String>, Vec<SystemConfig>) = MapHash::ALL
+        .iter()
+        .map(|&h| {
+            let mut cfg = base;
+            if let LlcKind::Split(ref mut d) = cfg.llc {
+                d.map_space = d.map_space.with_hash(h);
+            }
+            let label =
+                if cfg == base { "split-m14-d1/4".to_string() } else { format!("hash-{h}") };
+            (label, cfg)
+        })
+        .unzip();
+    let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+    let (error, _) = error_and_runtime(sweep, &labels, &configs, &columns);
+    (savings, error)
+}
+
+/// The paper's headline claims, each held to a band: the report
+/// `repro_all` prints last, and how many claims left their band.
+#[derive(Debug, Default)]
+pub struct Claims {
+    report: String,
+    failures: u32,
+}
+
+impl Claims {
+    /// Record one claim: PASS when `lo <= value <= hi` (both bounds
+    /// inclusive), FAIL otherwise — a NaN value included.
+    fn check(&mut self, name: &str, value: f64, lo: f64, hi: f64) {
+        let ok = (lo..=hi).contains(&value);
+        let verdict = if ok { "PASS" } else { "FAIL" };
+        writeln!(self.report, "{verdict} {name}: {value:.3} (expected {lo:.3}..{hi:.3})")
+            .expect("writing to a String cannot fail");
+        self.failures += u32::from(!ok);
+    }
+
+    /// One `PASS`/`FAIL` line per claim, in check order.
+    pub fn report(&self) -> &str {
+        &self.report
+    }
+
+    /// How many claims left their band.
+    pub fn failures(&self) -> u32 {
+        self.failures
+    }
+}
+
+/// Check the paper's headline claims. At paper scale the bands are the
+/// ones EXPERIMENTS.md records; at the reduced scales only the
+/// structural claims (Table 3, Fig. 13 area) and sanity bands on the
+/// Fig. 7 savings (`s14`, from [`savings_14`]), the Fig. 9a error and
+/// baseline exactness apply.
+pub fn claims(sweep: &mut Sweep, s14: &[f64]) -> Claims {
+    let scale = sweep.scale();
+    let mut c = Claims::default();
+
+    // Structural claims (scale independent).
+    let hw = HardwareCost::paper_system();
+    let split = DoppelgangerConfig::paper_split();
+    c.check(
+        "Table 3: Doppelganger tag entry bits",
+        hw.doppel_tag_array(&split).tag_entry_bits as f64,
+        77.0,
+        77.0,
+    );
+    let baseline_kb = hw.conventional("b", 2 << 20, 16).total_kbytes();
+    let ours_kb = hw.conventional("p", 1 << 20, 16).total_kbytes()
+        + hw.doppel_tag_array(&split).total_kbytes()
+        + hw.doppel_data_array(&split).total_kbytes();
+    c.check("Table 3: storage reduction", baseline_kb / ours_kb, 1.40, 1.46);
+    let area_red =
+        llc_area_mm2(&Scale::Paper.baseline()) / llc_area_mm2(&Scale::Paper.split_default());
+    c.check("Fig 13: LLC area reduction @1/4 (paper 1.55x)", area_red, 1.30, 1.75);
+
+    // Behavioural claims.
+    let (lo, hi) = match scale {
+        Scale::Paper => (0.30, 0.50), // paper: 37.9%
+        Scale::Small | Scale::Medium => (0.10, 0.70),
+    };
+    c.check("Fig 7: mean 14-bit savings (paper 0.379)", mean(s14), lo, hi);
+
+    batch_with_baseline(sweep, &["split-m14-d1/4"], &[scale.split_default()]);
+    let baseline = sweep.results("baseline");
+    let split_run = sweep.results("split-m14-d1/4");
+    let err = mean(&split_run.iter().map(|r| r.output_error).collect::<Vec<_>>());
+    c.check("Fig 9a: mean error @14-bit (paper ~0.1 or lower)", err, 0.0, 0.12);
+    if scale == Scale::Paper {
+        let dyn_red: Vec<f64> = split_run
+            .iter()
+            .zip(baseline)
+            .map(|(r, b)| b.energy.llc_dynamic_pj / r.energy.llc_dynamic_pj.max(1e-12))
+            .collect();
+        c.check("Fig 11a: mean dynamic reduction (paper 2.55x)", mean(&dyn_red), 2.0, 3.5);
+        let run_norm: Vec<f64> = split_run
+            .iter()
+            .zip(baseline)
+            .map(|(r, b)| r.runtime_cycles as f64 / b.runtime_cycles.max(1) as f64)
+            .collect();
+        c.check("Fig 10b: mean runtime overhead", mean(&run_norm), 0.99, 1.35);
+    }
+    // Every kernel on the baseline is bit-exact.
+    let exact = baseline.iter().filter(|r| r.output_error == 0.0).count();
+    c.check("baseline exactness (kernels at 0 error)", exact as f64, 9.0, 9.0);
+    c
+}
+
 /// Table 3: hardware cost of every structure — our computed bit budgets
 /// and CACTI-lite estimates next to the paper's reported values.
 pub fn table3() -> String {
@@ -421,8 +650,9 @@ mod tests {
         let art = baseline_snapshots(Scale::Small);
         assert_eq!(art.snapshots.len(), 9);
         let _ = fig02(&art.snapshots);
-        let _ = fig07(&art.snapshots);
-        let _ = fig08(&art.snapshots);
+        let s14 = savings_14(&art.snapshots);
+        let _ = fig07(&art.snapshots, &s14);
+        let _ = fig08(&art.snapshots, &s14);
         let _ = table2(&mut sweep);
         let (e, r) = fig10(&mut sweep);
         assert!(e.render().contains("MEAN"));
@@ -454,5 +684,57 @@ mod tests {
         for r in sweep.results("compressed-sb4") {
             assert_eq!(r.output_error, 0.0, "{}: BdI must be exact", r.kernel);
         }
+    }
+
+    /// Bounds are inclusive; values outside them, and NaN, fail and are
+    /// counted.
+    #[test]
+    fn claims_gate_counts_out_of_band_and_nan_values() {
+        let mut c = Claims::default();
+        c.check("at lo", 1.0, 1.0, 2.0);
+        c.check("at hi", 2.0, 1.0, 2.0);
+        assert_eq!(c.failures(), 0);
+        c.check("below", 0.999, 1.0, 2.0);
+        c.check("above", 2.001, 1.0, 2.0);
+        c.check("nan", f64::NAN, 1.0, 2.0);
+        assert_eq!(c.failures(), 3);
+        let lines: Vec<&str> = c.report().lines().collect();
+        assert_eq!(lines[0], "PASS at lo: 1.000 (expected 1.000..2.000)");
+        assert_eq!(lines[1], "PASS at hi: 2.000 (expected 1.000..2.000)");
+        assert_eq!(lines[4], "FAIL nan: NaN (expected 1.000..2.000)");
+        assert!(lines[2..].iter().all(|l| l.starts_with("FAIL ")));
+        assert_eq!(lines.len(), 5);
+    }
+
+    /// The extensions and the claims read the base split design's run
+    /// instead of re-simulating it: the only labels they add are the
+    /// ablation variants that differ from it.
+    #[test]
+    fn extensions_reuse_the_base_split_run() {
+        let mut sweep = Sweep::new(Scale::Small);
+        let art = baseline_snapshots(Scale::Small);
+        assert!(energy_breakdown(&mut sweep).render().contains("swaptions"));
+        assert!(multiprog(&mut sweep).render().contains("jpeg+kmeans"));
+        let (run, traffic, err) = ablation_policy(&mut sweep);
+        for t in [run, traffic, err] {
+            assert!(t.render().contains("canneal"));
+        }
+        let s14 = savings_14(&art.snapshots);
+        let (savings, err) = ablation_hash(&mut sweep, &art.snapshots, &s14);
+        assert!(savings.render().contains("MEAN") && err.render().contains("MEAN"));
+        let c = claims(&mut sweep, &s14);
+        assert_eq!(c.failures(), 0, "{}", c.report());
+        let labels: Vec<&str> = sweep.cached_runs().map(|(l, _)| l).collect();
+        assert_eq!(
+            labels,
+            [
+                "baseline",
+                "hash-avg",
+                "hash-avg+stride",
+                "hash-min+max",
+                "policy-fewest-sharers",
+                "split-m14-d1/4"
+            ]
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! The profiling pass behind `repro_all --profile`.
 //!
-//! Runs every suite kernel under every table/figure configuration (the
-//! same (configuration × kernel) grid as the `--check` gate) at full
+//! Runs every suite kernel under every configuration of the paper's
+//! tables and figures (the same (configuration × kernel) grid as the
+//! `--check` gate; the ablation variants are not in it) at full
 //! observability (`Level::Trace`) and exports three artifacts:
 //!
 //! * `PROFILE_repro.json` — `{meta, rows}`: run provenance plus one row

@@ -28,6 +28,8 @@ fn assert_usage_exit(bin: &str, args: &[&str]) {
 #[test]
 fn repro_all_rejects_unknown_and_duplicate_flags_with_exit_2() {
     let bin = env!("CARGO_BIN_EXE_repro_all");
+    // A typo must not fall back to the paper-scale run.
+    assert_usage_exit(bin, &["--smal"]);
     assert_usage_exit(bin, &["--cehck"]);
     assert_usage_exit(bin, &["--small", "--small"]);
     assert_usage_exit(bin, &["--json"]);
@@ -51,14 +53,27 @@ fn serve_bench_rejects_unknown_and_duplicate_flags_with_exit_2() {
 }
 
 #[test]
-fn figure_binaries_reject_typos_with_exit_2() {
-    // A typo must not fall back to the minutes-long paper-scale run.
-    assert_usage_exit(env!("CARGO_BIN_EXE_fig09_mapspace_perf"), &["--smal"]);
+fn simulate_rejects_typos_and_bad_values_with_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_simulate");
+    assert_usage_exit(bin, &["--smal"]);
+    assert_usage_exit(bin, &["--small", "--kernel"]);
+    assert_usage_exit(bin, &["--small", "--kernel", "jpge"]);
+    assert_usage_exit(bin, &["--small", "--llc", "bogus"]);
 }
 
 #[test]
-fn sweep_mapspace_rejects_a_missing_kernel_value_with_exit_2() {
-    assert_usage_exit(env!("CARGO_BIN_EXE_sweep_mapspace"), &["--small", "--kernel"]);
+fn serve_monitor_rejects_typos_with_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_serve_monitor");
+    assert_usage_exit(bin, &["--smok"]);
+    assert_usage_exit(bin, &["--smoke", "--smoke"]);
+    assert_usage_exit(bin, &["--json"]);
+}
+
+#[test]
+fn validate_profile_rejects_flags_and_extra_arguments_with_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_validate_profile");
+    assert_usage_exit(bin, &["--pth"]);
+    assert_usage_exit(bin, &["a.json", "b.json"]);
 }
 
 /// `trace_tool`: usage errors exit 2, unreadable traces exit 1 with a

@@ -30,7 +30,6 @@ mod cache;
 mod compressed;
 mod geometry;
 mod replacement;
-pub mod reuse;
 mod sharers;
 mod stats;
 mod writeback;
@@ -40,7 +39,6 @@ pub use cache::{ConventionalCache, Evicted, Line};
 pub use compressed::{CompStats, CompressedCache, CompressedConfig};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use replacement::{Fifo, Lru, RandomRepl, Replacer, Srrip};
-pub use reuse::ReuseProfile;
 pub use sharers::Sharers;
 pub use stats::CacheStats;
 pub use writeback::WritebackBuffer;

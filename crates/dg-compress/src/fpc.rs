@@ -18,8 +18,8 @@
 //! | 111 | uncompressed word | 32 |
 //!
 //! Included as an *extension baseline* (not part of the paper's Fig. 8,
-//! which uses BΔI and exact deduplication); exercised by the
-//! `ablation_hash`-style sweeps and available to downstream users.
+//! which uses BΔI and exact deduplication): no evaluation table reads
+//! it; it is available to downstream users and pinned by its own tests.
 
 use crate::CompressionReport;
 use dg_mem::{BlockData, BLOCK_BYTES};

@@ -15,7 +15,7 @@ use dg_check::{props, vec};
 use dg_mem::{Access, AccessKind, Addr, AnnotationTable, ApproxRegion, ElemType, MemoryImage, Trace};
 use dg_oracle::lockstep;
 use dg_system::{LlcKind, SystemConfig};
-use doppelganger::{DoppelgangerConfig, MapSpace};
+use doppelganger::{DataPolicy, DoppelgangerConfig, MapSpace};
 
 /// Blocks in the fuzz pool; larger than every micro cache level.
 const POOL_BLOCKS: u8 = 48;
@@ -87,6 +87,14 @@ fn micro_unified() -> SystemConfig {
     }))
 }
 
+/// `cfg` with the sharing-aware data-array policy, whose preferred
+/// victim is a one-tag entry — often the one the current miss just
+/// filled.
+fn fewest_sharers(mut cfg: SystemConfig) -> SystemConfig {
+    cfg.data_policy = DataPolicy::FewestSharers;
+    cfg
+}
+
 fn micro_compressed() -> SystemConfig {
     // 32 segments/set against an 8-block × 8-segment tag reach, so the
     // fuzz hits segment pressure as well as tag conflicts.
@@ -152,6 +160,11 @@ props! {
     fn fuzz_compressed_agrees(ops in ops_strategy()) {
         assert_agrees(&ops, micro_compressed());
     }
+
+    fn fuzz_fewest_sharers_agrees(ops in ops_strategy()) {
+        assert_agrees(&ops, fewest_sharers(micro_split()));
+        assert_agrees(&ops, fewest_sharers(micro_unified()));
+    }
 }
 
 /// A fixed dense store/load storm over the approximate half of the
@@ -167,7 +180,14 @@ fn dense_approx_storm_agrees() {
             ops.push((1 - core, block, round, 0, 0));
         }
     }
-    for cfg in [micro(LlcKind::Baseline), micro_split(), micro_unified(), micro_compressed()] {
+    for cfg in [
+        micro(LlcKind::Baseline),
+        micro_split(),
+        micro_unified(),
+        micro_compressed(),
+        fewest_sharers(micro_split()),
+        fewest_sharers(micro_unified()),
+    ] {
         assert_agrees(&ops, cfg);
     }
 }

@@ -246,39 +246,48 @@ impl System {
             return data;
         }
 
-        // LLC access.
-        self.cycles[core] += self.cfg.llc_latency;
         let region = self.region_of(block);
-
-        // One directory probe covers both the remote-owner check and
-        // registering this core as a sharer. Registering before the
-        // writeback/fill is equivalent to after: the missing block is
-        // never in its own displacement set (it is not resident, and
-        // its new tag joins no victim list), so drain_displacements
-        // cannot remove this entry, and remote_writeback never reads
-        // the requester's sharer bit.
-        let sharers = self.directory.entry(block).or_default();
-        let remote_owner = sharers.owner().filter(|&o| o != core);
-        sharers.add(core);
-
-        // If a remote core holds the block modified, it writes back
-        // first (one extra LLC transaction).
-        if let Some(owner) = remote_owner {
-            self.remote_writeback(owner, block, region.as_ref());
+        let data = loop {
+            // LLC access.
             self.cycles[core] += self.cfg.llc_latency;
-        }
 
-        let out =
-            self.llc.read_into(block, region.as_ref(), &mut self.dram, &mut self.displaced_buf);
-        if out.fetched_from_memory {
-            self.cycles[core] += self.cfg.mem_latency;
-            self.off_chip_reads += 1;
-            event!(Level::Trace, "llc.miss_fill", block.0, core as u64);
-        }
-        let data = out.data;
-        self.drain_displacements();
+            // One directory probe covers both the remote-owner check and
+            // registering this core as a sharer. Registering before the
+            // writeback/fill is equivalent to after: the missing block is
+            // never in its own displacement set (it is not resident, and
+            // its new tag joins no victim list), so drain_displacements
+            // cannot remove this entry, and remote_writeback never reads
+            // the requester's sharer bit.
+            let sharers = self.directory.entry(block).or_default();
+            let remote_owner = sharers.owner().filter(|&o| o != core);
+            sharers.add(core);
 
-        self.fill_l2(core, block, &data);
+            // If a remote core holds the block modified, it writes back
+            // first (one extra LLC transaction).
+            if let Some(owner) = remote_owner {
+                self.remote_writeback(owner, block, region.as_ref());
+                self.cycles[core] += self.cfg.llc_latency;
+            }
+
+            let out =
+                self.llc.read_into(block, region.as_ref(), &mut self.dram, &mut self.displaced_buf);
+            if out.fetched_from_memory {
+                self.cycles[core] += self.cfg.mem_latency;
+                self.off_chip_reads += 1;
+                event!(Level::Trace, "llc.miss_fill", block.0, core as u64);
+            }
+            self.drain_displacements();
+
+            // The L2 victim's writeback can displace the LLC entry this
+            // miss just filled when the data-array policy prefers
+            // one-tag entries (fewest-sharers; LRU never does, the entry
+            // is MRU), and the back-invalidation takes the block out of
+            // this L2 again. Fetch it once more: the L2 set now has a
+            // free way, so the second fill evicts nothing.
+            if self.fill_l2(core, block, &out.data) {
+                break out.data;
+            }
+        };
         self.fill_l1(core, block, &data);
         if for_write {
             self.acquire_ownership(core, block);
@@ -359,12 +368,14 @@ impl System {
         }
     }
 
-    /// Fill `core`'s L2, handling the inclusion eviction chain.
-    fn fill_l2(&mut self, core: usize, block: BlockAddr, data: &BlockData) {
+    /// Fill `core`'s L2, handling the inclusion eviction chain. Returns
+    /// whether `block` is still in the L2 afterwards: the victim's
+    /// writeback into the LLC may have displaced it.
+    fn fill_l2(&mut self, core: usize, block: BlockAddr, data: &BlockData) -> bool {
         let Some((vaddr, vdirty)) =
             self.l2[core].fill_ref_lazy(block, data, &mut self.fill_scratch)
         else {
-            return;
+            return true;
         };
         // L1 ⊆ L2: the evicted block's L1 copy must go too; its data is
         // the freshest if dirty. `fill_scratch` holds the L2 victim's
@@ -388,7 +399,9 @@ impl System {
                 &mut self.displaced_buf,
             );
             self.drain_displacements();
+            return self.l2[core].contains(block);
         }
+        true
     }
 
     /// Fill `core`'s L1; a dirty victim falls back into the L2.

@@ -26,10 +26,11 @@ use std::fmt;
 ///
 /// The paper uses the block's **average** and **range** and notes that
 /// "other hash functions are possible; we leave this to future work"
-/// (§3.7). The alternatives here implement that future work for the
-/// `ablation_hash` benchmark. Every variant produces a primary hash
-/// (quantized at full `M`-bit resolution, the low bits of the map) and
-/// an optional secondary hash (top ⌈M/2⌉ bits).
+/// (§3.7). The alternatives here implement that future work for
+/// `repro_all`'s "Ablation: hash functions" tables. Every variant
+/// produces a primary hash (quantized at full `M`-bit resolution, the
+/// low bits of the map) and an optional secondary hash (top ⌈M/2⌉
+/// bits).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MapHash {
     /// Average + range — the paper's choice.

@@ -4,7 +4,7 @@
 //! data-array replacement — e.g. accounting for "the number of tags
 //! associated to a data entry" — as future work (§3.5). This module
 //! implements that extension so it can be evaluated as an ablation
-//! (`cargo run -p dg-bench --bin ablation_policy`).
+//! (`repro_all`'s "Ablation: data-array policy" tables).
 
 use std::fmt;
 

@@ -7,8 +7,10 @@
 # cargo doc with broken intra-doc links denied +
 # benchmark smoke run checked against benchmark/golden/* +
 # hermeticity + differential oracle +
-# byte-diff of deterministic exports across worker counts +
-# the paper-claims gate (validate_repro --small) + profile smoke +
+# byte-diff of deterministic exports across worker counts, whose
+# repro_all --small runs end with the paper-claims gate +
+# paper-scale repro_all byte-compared against repro_all_paper.txt +
+# profile smoke +
 # the concurrent server's analytic hit-rate gate +
 # monitored-serve smoke asserting the telemetry plane
 # flags an injected anomaly without steady-state false positives +
