@@ -1,8 +1,10 @@
 //! Reference conventional cache: `Vec<Vec<Option<Line>>>`, full-set
 //! scans, no MRU hints, eager victim copies.
 
-use dg_cache::{CacheGeometry, CacheStats};
-use dg_mem::{BlockAddr, BlockData};
+use crate::llc::OracleArray;
+use dg_cache::{CacheGeometry, CacheStats, Evicted};
+use dg_mem::{ApproxRegion, BlockAddr, BlockData};
+use dg_system::{LlcArray, LlcCounters};
 
 /// One valid line in the oracle cache.
 #[derive(Clone, Copy, Debug)]
@@ -12,17 +14,6 @@ struct OLine {
     data: BlockData,
     /// LRU stamp; larger = more recently used.
     last_use: u64,
-}
-
-/// A line displaced from the oracle cache.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OracleEvicted {
-    /// The displaced block's address.
-    pub addr: BlockAddr,
-    /// Whether the block must be written back.
-    pub dirty: bool,
-    /// The displaced block's contents.
-    pub data: BlockData,
 }
 
 /// Reference implementation of `dg_cache::ConventionalCache`.
@@ -181,7 +172,7 @@ impl OracleCache {
     /// Insert `addr` with an explicit dirty bit, evicting if needed.
     /// Insertion stat first, then victim choice, then the fill (which
     /// counts as a touch) — the optimized order.
-    pub fn fill(&mut self, addr: BlockAddr, data: &BlockData, dirty: bool) -> Option<OracleEvicted> {
+    pub fn fill(&mut self, addr: BlockAddr, data: &BlockData, dirty: bool) -> Option<Evicted> {
         assert!(self.locate(addr).is_none(), "fill of a resident block");
         let set = self.geom.set_of(addr);
         self.stats.insertions += 1;
@@ -191,11 +182,7 @@ impl OracleCache {
             if old.dirty {
                 self.stats.dirty_evictions += 1;
             }
-            OracleEvicted {
-                addr: self.geom.block_addr(old.tag, set),
-                dirty: old.dirty,
-                data: old.data,
-            }
+            Evicted { addr: self.geom.block_addr(old.tag, set), dirty: old.dirty, data: old.data }
         });
         self.stamp += 1;
         self.sets[set][way] =
@@ -204,11 +191,11 @@ impl OracleCache {
     }
 
     /// Remove `addr` if present (invalidation stat, no LRU change).
-    pub fn invalidate(&mut self, addr: BlockAddr) -> Option<OracleEvicted> {
+    pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Evicted> {
         let (set, way) = self.locate(addr)?;
         let line = self.sets[set][way].take().expect("located");
         self.stats.invalidations += 1;
-        Some(OracleEvicted { addr, dirty: line.dirty, data: line.data })
+        Some(Evicted { addr, dirty: line.dirty, data: line.data })
     }
 
     /// Data and dirty bit of a resident block (no stats or LRU).
@@ -258,6 +245,87 @@ impl OracleCache {
                 l.as_ref().map(|l| (geom.block_addr(l.tag, set), l.dirty, &l.data))
             })
         })
+    }
+}
+
+/// The conventional LLC array (the same cache as the private levels).
+impl LlcArray for OracleCache {
+    fn lookup(&mut self, addr: BlockAddr) -> Option<BlockData> {
+        self.read(addr)
+    }
+
+    fn write(
+        &mut self,
+        addr: BlockAddr,
+        data: &BlockData,
+        _: Option<&ApproxRegion>,
+        _: &mut dyn FnMut(Evicted),
+    ) -> bool {
+        OracleCache::write(self, addr, *data)
+    }
+
+    fn fill(
+        &mut self,
+        addr: BlockAddr,
+        data: &BlockData,
+        dirty: bool,
+        _: Option<&ApproxRegion>,
+        emit: &mut dyn FnMut(Evicted),
+    ) {
+        if let Some(ev) = OracleCache::fill(self, addr, data, dirty) {
+            emit(ev);
+        }
+    }
+
+    fn contains(&self, addr: BlockAddr) -> bool {
+        OracleCache::contains(self, addr)
+    }
+
+    fn invalidate(&mut self, addr: BlockAddr) {
+        OracleCache::invalidate(self, addr);
+    }
+
+    fn for_each_block(&self, f: &mut dyn FnMut(BlockAddr, &BlockData)) {
+        self.iter_blocks().for_each(|(a, _, d)| f(a, d));
+    }
+
+    fn flush_dirty(&mut self, sink: &mut dyn FnMut(BlockAddr, BlockData)) {
+        let geom = self.geom;
+        for (set, ways) in self.sets.iter_mut().enumerate() {
+            for line in ways.iter_mut().flatten().filter(|l| l.dirty) {
+                line.dirty = false;
+                sink(geom.block_addr(line.tag, set), line.data);
+            }
+        }
+    }
+
+    fn reset_stats(&mut self) {
+        OracleCache::reset_stats(self);
+    }
+
+    fn add_counters(&self, c: &mut LlcCounters) {
+        c.precise_tag_accesses += self.stats.accesses();
+        c.precise_data_accesses += self.stats.hits + self.stats.insertions;
+        c.lookups += self.stats.accesses();
+        c.hits += self.stats.hits;
+    }
+
+    fn check_invariants(&self) {}
+}
+
+impl OracleArray for OracleCache {
+    fn check_conservation(&self) {
+        let s = self.stats;
+        let resident = self.len() as u64;
+        assert_eq!(
+            s.insertions,
+            resident + s.evictions + s.invalidations,
+            "conventional LLC: insertions != resident + evictions + invalidations ({s:?})"
+        );
+        assert!(
+            s.dirty_evictions <= s.evictions,
+            "conventional LLC: dirty evictions exceed evictions"
+        );
     }
 }
 

@@ -22,9 +22,11 @@
 //! ascending way scan) wholesale in sub-block order; segment pressure
 //! evicts the stalest block (first minimum in `(way, sub)` scan order).
 
+use crate::llc::OracleArray;
 use dg_cache::{CompStats, CompressedConfig, Evicted};
 use dg_compress::bdi;
-use dg_mem::{BlockAddr, BlockData};
+use dg_mem::{ApproxRegion, BlockAddr, BlockData};
+use dg_system::{LlcArray, LlcCounters};
 
 #[derive(Debug)]
 struct OBlock {
@@ -128,11 +130,6 @@ impl OracleCompressed {
         &self.stats
     }
 
-    /// Reset statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = CompStats::default();
-    }
-
     fn sub_of(&self, addr: BlockAddr) -> usize {
         (addr.0 % self.cfg.sb_blocks as u64) as usize
     }
@@ -166,13 +163,100 @@ impl OracleCompressed {
         None
     }
 
-    /// Whether `addr` is resident (no stats).
-    pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.locate(addr).is_some()
+    /// Remove `addr` if present (no LRU effects).
+    pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Evicted> {
+        let (set, way, sub) = self.locate(addr)?;
+        let tag = self.sets[set].tags[way].as_mut().expect("located");
+        let blk = tag.blocks[sub].take().expect("located");
+        if tag.live_blocks() == 0 {
+            self.sets[set].tags[way] = None;
+        }
+        self.sets[set].free_all((way, sub));
+        self.stats.invalidations += 1;
+        Some(Evicted { addr, dirty: blk.dirty, data: blk.data })
     }
 
-    /// Read `addr`, updating LRU and stats on a hit.
-    pub fn read(&mut self, addr: BlockAddr) -> Option<BlockData> {
+    fn len(&self) -> usize {
+        self.sets.iter().flat_map(|s| s.tags.iter().flatten()).map(|t| t.live_blocks()).sum()
+    }
+
+    /// Resident blocks in `(set, way, sub)` order.
+    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockAddr, bool, &BlockData)> {
+        self.sets.iter().enumerate().flat_map(move |(set, s)| {
+            s.tags.iter().flat_map(move |slot| {
+                slot.iter().flat_map(move |tag| {
+                    tag.blocks.iter().enumerate().filter_map(move |(sub, b)| {
+                        b.as_ref()
+                            .map(|b| (self.block_addr(tag.sb_tag, set, sub), b.dirty, &b.data))
+                    })
+                })
+            })
+        })
+    }
+
+    fn evict_tag(&mut self, set: usize, way: usize, emit: &mut dyn FnMut(Evicted)) {
+        let tag = self.sets[set].tags[way].take().expect("evicting a valid tag");
+        for (sub, blk) in tag.blocks.into_iter().enumerate() {
+            if let Some(blk) = blk {
+                self.stats.evictions += 1;
+                if blk.dirty {
+                    self.stats.dirty_evictions += 1;
+                }
+                self.sets[set].free_all((way, sub));
+                emit(Evicted {
+                    addr: self.block_addr(tag.sb_tag, set, sub),
+                    dirty: blk.dirty,
+                    data: blk.data,
+                });
+            }
+        }
+    }
+
+    fn evict_lru_block(
+        &mut self,
+        set: usize,
+        exclude: Option<(usize, usize)>,
+        pin_way: Option<usize>,
+        expansion: bool,
+        emit: &mut dyn FnMut(Evicted),
+    ) -> bool {
+        let mut victim: Option<(usize, usize)> = None;
+        let mut best = u64::MAX;
+        for way in 0..self.cfg.tag_ways {
+            let Some(tag) = &self.sets[set].tags[way] else { continue };
+            for (sub, blk) in tag.blocks.iter().enumerate() {
+                let Some(blk) = blk else { continue };
+                if exclude == Some((way, sub)) {
+                    continue;
+                }
+                if blk.last_use < best {
+                    best = blk.last_use;
+                    victim = Some((way, sub));
+                }
+            }
+        }
+        let Some((way, sub)) = victim else { return false };
+        let tag = self.sets[set].tags[way].as_mut().expect("victim tag");
+        let blk = tag.blocks[sub].take().expect("victim block");
+        let sb_tag = tag.sb_tag;
+        if tag.live_blocks() == 0 && pin_way != Some(way) {
+            self.sets[set].tags[way] = None;
+        }
+        self.sets[set].free_all((way, sub));
+        self.stats.evictions += 1;
+        if blk.dirty {
+            self.stats.dirty_evictions += 1;
+        }
+        if expansion {
+            self.stats.expansion_evictions += 1;
+        }
+        emit(Evicted { addr: self.block_addr(sb_tag, set, sub), dirty: blk.dirty, data: blk.data });
+        true
+    }
+}
+
+impl LlcArray for OracleCompressed {
+    fn lookup(&mut self, addr: BlockAddr) -> Option<BlockData> {
         self.stats.tag_accesses += 1;
         match self.locate(addr) {
             Some((set, way, sub)) => {
@@ -193,11 +277,11 @@ impl OracleCompressed {
         }
     }
 
-    /// Dirty full-block update; re-compresses, evicting on growth.
-    pub fn write(
+    fn write(
         &mut self,
         addr: BlockAddr,
         data: &BlockData,
+        _: Option<&ApproxRegion>,
         emit: &mut dyn FnMut(Evicted),
     ) -> bool {
         self.stats.tag_accesses += 1;
@@ -234,13 +318,13 @@ impl OracleCompressed {
         true
     }
 
-    /// Insert a missing block, evicting a conflicting superblock and/or
-    /// LRU blocks as needed.
-    pub fn fill(
+    /// Evicts a conflicting superblock and/or LRU blocks as needed.
+    fn fill(
         &mut self,
         addr: BlockAddr,
         data: &BlockData,
         dirty: bool,
+        _: Option<&ApproxRegion>,
         emit: &mut dyn FnMut(Evicted),
     ) {
         assert!(self.locate(addr).is_none(), "oracle fill of a resident block");
@@ -319,68 +403,44 @@ impl OracleCompressed {
         self.stats.data_seg_accesses += segs as u64;
     }
 
-    /// Remove `addr` if present (no LRU effects).
-    pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Evicted> {
-        let (set, way, sub) = self.locate(addr)?;
-        let tag = self.sets[set].tags[way].as_mut().expect("located");
-        let blk = tag.blocks[sub].take().expect("located");
-        if tag.live_blocks() == 0 {
-            self.sets[set].tags[way] = None;
+    fn contains(&self, addr: BlockAddr) -> bool {
+        self.locate(addr).is_some()
+    }
+
+    fn invalidate(&mut self, addr: BlockAddr) {
+        OracleCompressed::invalidate(self, addr);
+    }
+
+    fn for_each_block(&self, f: &mut dyn FnMut(BlockAddr, &BlockData)) {
+        self.iter_blocks().for_each(|(a, _, d)| f(a, d));
+    }
+
+    fn flush_dirty(&mut self, sink: &mut dyn FnMut(BlockAddr, BlockData)) {
+        let dirty: Vec<BlockAddr> =
+            self.iter_blocks().filter(|(_, d, _)| *d).map(|(a, _, _)| a).collect();
+        for addr in dirty {
+            let (set, way, sub) = self.locate(addr).expect("dirty block is resident");
+            let blk = self.sets[set].tags[way].as_mut().expect("located").blocks[sub]
+                .as_mut()
+                .expect("located");
+            blk.dirty = false;
+            sink(addr, blk.data);
         }
-        self.sets[set].free_all((way, sub));
-        self.stats.invalidations += 1;
-        Some(Evicted { addr, dirty: blk.dirty, data: blk.data })
     }
 
-    /// Clear a resident block's dirty bit.
-    pub fn clear_dirty(&mut self, addr: BlockAddr) -> bool {
-        match self.locate(addr) {
-            Some((set, way, sub)) => {
-                let tag = self.sets[set].tags[way].as_mut().expect("located");
-                tag.blocks[sub].as_mut().expect("located").dirty = false;
-                true
-            }
-            None => false,
-        }
+    fn reset_stats(&mut self) {
+        self.stats = CompStats::default();
     }
 
-    /// Number of resident blocks.
-    pub fn len(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.tags.iter().flatten())
-            .map(|t| t.live_blocks())
-            .sum()
+    fn add_counters(&self, c: &mut LlcCounters) {
+        c.comp += self.stats;
+        c.lookups += self.stats.accesses();
+        c.hits += self.stats.hits;
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of resident superblock tags.
-    pub fn resident_tags(&self) -> usize {
-        self.sets.iter().map(|s| s.tags.iter().flatten().count()).sum()
-    }
-
-    /// Resident blocks in `(set, way, sub)` order.
-    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockAddr, bool, &BlockData)> {
-        self.sets.iter().enumerate().flat_map(move |(set, s)| {
-            s.tags.iter().flat_map(move |slot| {
-                slot.iter().flat_map(move |tag| {
-                    tag.blocks.iter().enumerate().filter_map(move |(sub, b)| {
-                        b.as_ref()
-                            .map(|b| (self.block_addr(tag.sb_tag, set, sub), b.dirty, &b.data))
-                    })
-                })
-            })
-        })
-    }
-
-    /// Structural self-checks: the explicit segment lists must be
-    /// consistent with the per-block footprints, and no empty tag may
-    /// linger.
-    pub fn check_invariants(&self) {
+    /// The explicit segment lists must be consistent with the
+    /// per-block footprints, and no empty tag may linger.
+    fn check_invariants(&self) {
         for (si, set) in self.sets.iter().enumerate() {
             for (way, slot) in set.tags.iter().enumerate() {
                 let Some(tag) = slot else { continue };
@@ -404,65 +464,29 @@ impl OracleCompressed {
             }
         }
     }
+}
 
-    fn evict_tag(&mut self, set: usize, way: usize, emit: &mut dyn FnMut(Evicted)) {
-        let tag = self.sets[set].tags[way].take().expect("evicting a valid tag");
-        for (sub, blk) in tag.blocks.into_iter().enumerate() {
-            if let Some(blk) = blk {
-                self.stats.evictions += 1;
-                if blk.dirty {
-                    self.stats.dirty_evictions += 1;
-                }
-                self.sets[set].free_all((way, sub));
-                emit(Evicted {
-                    addr: self.block_addr(tag.sb_tag, set, sub),
-                    dirty: blk.dirty,
-                    data: blk.data,
-                });
-            }
-        }
-    }
-
-    fn evict_lru_block(
-        &mut self,
-        set: usize,
-        exclude: Option<(usize, usize)>,
-        pin_way: Option<usize>,
-        expansion: bool,
-        emit: &mut dyn FnMut(Evicted),
-    ) -> bool {
-        let mut victim: Option<(usize, usize)> = None;
-        let mut best = u64::MAX;
-        for way in 0..self.cfg.tag_ways {
-            let Some(tag) = &self.sets[set].tags[way] else { continue };
-            for (sub, blk) in tag.blocks.iter().enumerate() {
-                let Some(blk) = blk else { continue };
-                if exclude == Some((way, sub)) {
-                    continue;
-                }
-                if blk.last_use < best {
-                    best = blk.last_use;
-                    victim = Some((way, sub));
-                }
-            }
-        }
-        let Some((way, sub)) = victim else { return false };
-        let tag = self.sets[set].tags[way].as_mut().expect("victim tag");
-        let blk = tag.blocks[sub].take().expect("victim block");
-        let sb_tag = tag.sb_tag;
-        if tag.live_blocks() == 0 && pin_way != Some(way) {
-            self.sets[set].tags[way] = None;
-        }
-        self.sets[set].free_all((way, sub));
-        self.stats.evictions += 1;
-        if blk.dirty {
-            self.stats.dirty_evictions += 1;
-        }
-        if expansion {
-            self.stats.expansion_evictions += 1;
-        }
-        emit(Evicted { addr: self.block_addr(sb_tag, set, sub), dirty: blk.dirty, data: blk.data });
-        true
+impl OracleArray for OracleCompressed {
+    fn check_conservation(&self) {
+        let s = self.stats;
+        assert_eq!(
+            s.insertions,
+            self.len() as u64 + s.evictions + s.invalidations,
+            "compressed: insertions != resident + evictions + invalidations ({s:?})"
+        );
+        assert_eq!(s.compressions, s.insertions, "compressed: every fill compresses once");
+        assert_eq!(
+            s.decompressions + s.recompressions,
+            s.hits,
+            "compressed: every hit is one codec pass ({s:?})"
+        );
+        assert!(s.dirty_evictions <= s.evictions, "compressed: dirty evictions exceed evictions");
+        assert!(
+            s.expansion_evictions <= s.evictions,
+            "compressed: expansion evictions exceed evictions"
+        );
+        assert!(s.tag_evictions <= s.evictions, "compressed: tag evictions exceed evictions");
+        assert!(s.fill_segments >= s.insertions, "compressed: fills must take >= 1 segment");
     }
 }
 
@@ -489,15 +513,15 @@ mod tests {
     fn mirrors_basic_fill_read_write() {
         let mut o = tiny();
         let mut ev = Vec::new();
-        assert!(o.read(BlockAddr(0)).is_none());
-        o.fill(BlockAddr(0), &blk(2.0), false, &mut |e| ev.push(e));
-        assert_eq!(o.read(BlockAddr(0)), Some(blk(2.0)));
-        assert!(o.write(BlockAddr(0), &blk(3.0), &mut |e| ev.push(e)));
+        assert!(o.lookup(BlockAddr(0)).is_none());
+        o.fill(BlockAddr(0), &blk(2.0), false, None, &mut |e| ev.push(e));
+        assert_eq!(o.lookup(BlockAddr(0)), Some(blk(2.0)));
+        assert!(o.write(BlockAddr(0), &blk(3.0), None, &mut |e| ev.push(e)));
         assert!(ev.is_empty());
         let inv = o.invalidate(BlockAddr(0)).unwrap();
         assert!(inv.dirty);
         assert_eq!(inv.data, blk(3.0));
-        assert!(o.is_empty());
+        assert_eq!(o.len(), 0);
         o.check_invariants();
     }
 
@@ -540,16 +564,16 @@ mod tests {
             match x % 4 {
                 0 | 1 => {
                     let a = fast.read(addr);
-                    let b = slow.read(addr);
+                    let b = slow.lookup(addr);
                     assert_eq!(a, b, "read {i}");
                     if a.is_none() {
                         fast.fill(addr, &data, false, &mut |e| ev_fast.push(e));
-                        slow.fill(addr, &data, false, &mut |e| ev_slow.push(e));
+                        slow.fill(addr, &data, false, None, &mut |e| ev_slow.push(e));
                     }
                 }
                 2 => {
                     let a = fast.write(addr, &data, &mut |e| ev_fast.push(e));
-                    let b = slow.write(addr, &data, &mut |e| ev_slow.push(e));
+                    let b = slow.write(addr, &data, None, &mut |e| ev_slow.push(e));
                     assert_eq!(a, b, "write {i}");
                 }
                 _ => {

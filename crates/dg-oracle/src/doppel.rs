@@ -1,16 +1,18 @@
 //! Reference Doppelgänger cache: naive grids, full-set scans, fresh
 //! map computation on every access (no memo, no MRU hints).
 
-use dg_cache::CacheGeometry;
+use crate::llc::OracleArray;
+use dg_cache::{CacheGeometry, Evicted};
 use dg_mem::{ApproxRegion, BlockAddr, BlockData};
+use dg_system::{LlcArray, LlcCounters};
 use doppelganger::{
-    DataEntry, DataId, DataKind, DataPolicy, Displaced, DoppStats, DoppelgangerConfig, MapValue,
-    TagEntry, TagId, TagKind, WriteStatus,
+    DataEntry, DataId, DataKind, DataPolicy, DoppStats, DoppelgangerConfig, MapValue, TagEntry,
+    TagId, TagKind, WriteStatus,
 };
 
 /// Reference implementation of `doppelganger::DoppelgangerCache`.
 ///
-/// Entry types ([`TagEntry`], [`DataEntry`], [`Displaced`]) and the
+/// Entry types ([`TagEntry`], [`DataEntry`], [`Evicted`]) and the
 /// statistics struct are shared with the optimized crate so lockstep
 /// comparisons are field-for-field; the *mechanics* are re-derived from
 /// the paper's description with none of the optimized crate's
@@ -66,11 +68,6 @@ impl OracleDoppelganger {
     /// Accumulated statistics.
     pub fn stats(&self) -> &DoppStats {
         &self.stats
-    }
-
-    /// Reset statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = DoppStats::default();
     }
 
     fn mtag_index_bits(&self) -> u32 {
@@ -237,14 +234,14 @@ impl OracleDoppelganger {
         }
     }
 
-    fn evict_data_entry(&mut self, did: DataId, emit: &mut dyn FnMut(Displaced)) {
+    fn evict_data_entry(&mut self, did: DataId, emit: &mut dyn FnMut(Evicted)) {
         let rep = self.data_at(did).data;
         let mut cur = Some(self.data_at(did).head);
         while let Some(id) = cur {
             let addr = self.block_addr_of_tag(id);
             let t = self.tags[id.set as usize][id.way as usize].take().expect("list member");
             cur = t.next;
-            emit(Displaced { addr, dirty: t.dirty, sharers: t.sharers, data: rep });
+            emit(Evicted { addr, dirty: t.dirty, data: rep });
             self.stats.tag_evictions += 1;
             self.stats.back_invalidations += 1;
         }
@@ -252,7 +249,7 @@ impl OracleDoppelganger {
         self.stats.data_evictions += 1;
     }
 
-    fn evict_tag(&mut self, id: TagId) -> Displaced {
+    fn evict_tag(&mut self, id: TagId) -> Evicted {
         let addr = self.block_addr_of_tag(id);
         let (did, now_empty) = self.unlink(id);
         let rep = self.data_at(did).data;
@@ -262,10 +259,10 @@ impl OracleDoppelganger {
             self.data[did.set as usize][did.way as usize] = None;
             self.stats.data_evictions += 1;
         }
-        Displaced { addr, dirty: t.dirty, sharers: t.sharers, data: rep }
+        Evicted { addr, dirty: t.dirty, data: rep }
     }
 
-    fn make_tag_room(&mut self, addr: BlockAddr) -> (TagId, Option<Displaced>) {
+    fn make_tag_room(&mut self, addr: BlockAddr) -> (TagId, Option<Evicted>) {
         let set = self.tag_geom.set_of(addr);
         let way = self.tag_victim_way(set);
         let id = TagId { set: set as u32, way: way as u32 };
@@ -273,7 +270,7 @@ impl OracleDoppelganger {
         (id, displaced)
     }
 
-    fn make_data_room(&mut self, set: usize, emit: &mut dyn FnMut(Displaced)) -> DataId {
+    fn make_data_room(&mut self, set: usize, emit: &mut dyn FnMut(Evicted)) -> DataId {
         let way = self.pick_data_victim(set);
         let id = DataId { set: set as u32, way: way as u32 };
         if self.data[set][way].is_some() {
@@ -283,41 +280,17 @@ impl OracleDoppelganger {
     }
 
     // ------------------------------------------------------------------
-    // Public operations — stat sequences transliterated.
+    // Operations — stat sequences transliterated.
     // ------------------------------------------------------------------
-
-    /// Whether `addr` is resident (no stats or LRU).
-    pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.locate_tag(addr).is_some()
-    }
-
-    /// Look up `addr`; on a hit both arrays are touched and counted
-    /// (the MTag probe only for approximate tags).
-    pub fn read(&mut self, addr: BlockAddr) -> Option<BlockData> {
-        self.stats.tag_array_accesses += 1;
-        let Some(tid) = self.locate_tag(addr) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        self.stats.hits += 1;
-        self.touch_tag(tid);
-        let did = self.data_of_tag(tid);
-        if !self.tag_at(tid).is_precise() {
-            self.stats.mtag_accesses += 1;
-        }
-        self.stats.data_accesses += 1;
-        self.touch_data(did);
-        Some(self.data_at(did).data)
-    }
 
     /// Insert an approximate block; returns whether it joined an
     /// existing data entry. Displacements go to `emit`.
-    pub fn insert_approx_with(
+    fn insert_approx_with(
         &mut self,
         addr: BlockAddr,
         block: BlockData,
         region: &ApproxRegion,
-        emit: &mut dyn FnMut(Displaced),
+        emit: &mut dyn FnMut(Evicted),
     ) -> bool {
         assert!(!self.contains(addr), "insert of a resident block");
         let map = self.cfg.map_space.map_block(&block, region);
@@ -355,11 +328,11 @@ impl OracleDoppelganger {
     }
 
     /// Insert a precise block (uniDoppelgänger only).
-    pub fn insert_precise_with(
+    fn insert_precise_with(
         &mut self,
         addr: BlockAddr,
         block: BlockData,
-        emit: &mut dyn FnMut(Displaced),
+        emit: &mut dyn FnMut(Evicted),
     ) {
         assert!(self.cfg.unified, "precise blocks require a uniDoppelganger configuration");
         assert!(!self.contains(addr), "insert of a resident block");
@@ -379,12 +352,12 @@ impl OracleDoppelganger {
     }
 
     /// Handle a write / writeback of a full block.
-    pub fn write_with(
+    fn write_with(
         &mut self,
         addr: BlockAddr,
         block: BlockData,
         region: Option<&ApproxRegion>,
-        emit: &mut dyn FnMut(Displaced),
+        emit: &mut dyn FnMut(Evicted),
     ) -> WriteStatus {
         self.stats.tag_array_accesses += 1;
         let Some(tid) = self.locate_tag(addr) else {
@@ -453,23 +426,6 @@ impl OracleDoppelganger {
         }
     }
 
-    /// Invalidate `addr`, returning its final state.
-    pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Displaced> {
-        let tid = self.locate_tag(addr)?;
-        Some(self.evict_tag(tid))
-    }
-
-    /// Mark a resident block dirty (no stats or LRU).
-    pub fn mark_dirty(&mut self, addr: BlockAddr) -> bool {
-        match self.locate_tag(addr) {
-            Some(tid) => {
-                self.tag_at_mut(tid).dirty = true;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Number of resident tags.
     pub fn resident_tags(&self) -> usize {
         self.tags.iter().flatten().filter(|e| e.is_some()).count()
@@ -478,34 +434,6 @@ impl OracleDoppelganger {
     /// Number of valid data entries.
     pub fn resident_data(&self) -> usize {
         self.data.iter().flatten().filter(|e| e.is_some()).count()
-    }
-
-    /// Average tags per data entry.
-    pub fn avg_tags_per_data(&self) -> f64 {
-        if self.resident_data() == 0 {
-            0.0
-        } else {
-            self.resident_tags() as f64 / self.resident_data() as f64
-        }
-    }
-
-    /// Visit every dirty tag in set-major order, clearing dirty bits.
-    pub fn flush_dirty(&mut self, mut sink: impl FnMut(BlockAddr, BlockData)) {
-        let mut dirty = Vec::new();
-        for (set, ways) in self.tags.iter().enumerate() {
-            for (way, e) in ways.iter().enumerate() {
-                if e.as_ref().is_some_and(|t| t.dirty) {
-                    dirty.push(TagId { set: set as u32, way: way as u32 });
-                }
-            }
-        }
-        for id in dirty {
-            let addr = self.block_addr_of_tag(id);
-            let did = self.data_of_tag(id);
-            let data = self.data_at(did).data;
-            self.tag_at_mut(id).dirty = false;
-            sink(addr, data);
-        }
     }
 
     /// Resident blocks as `(addr, dirty, precise, data)` in set-major
@@ -526,10 +454,110 @@ impl OracleDoppelganger {
             })
         })
     }
+}
 
-    /// Verify the structural invariants (same set as the optimized
-    /// cache's `check_invariants`); panics on violation.
-    pub fn check_invariants(&self) {
+impl LlcArray for OracleDoppelganger {
+    /// On a hit both arrays are touched and counted (the MTag probe
+    /// only for approximate tags).
+    fn lookup(&mut self, addr: BlockAddr) -> Option<BlockData> {
+        self.stats.tag_array_accesses += 1;
+        let Some(tid) = self.locate_tag(addr) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        self.touch_tag(tid);
+        let did = self.data_of_tag(tid);
+        if !self.tag_at(tid).is_precise() {
+            self.stats.mtag_accesses += 1;
+        }
+        self.stats.data_accesses += 1;
+        self.touch_data(did);
+        Some(self.data_at(did).data)
+    }
+
+    fn write(
+        &mut self,
+        addr: BlockAddr,
+        data: &BlockData,
+        region: Option<&ApproxRegion>,
+        emit: &mut dyn FnMut(Evicted),
+    ) -> bool {
+        self.write_with(addr, *data, region, emit) != WriteStatus::NotResident
+    }
+
+    fn fill(
+        &mut self,
+        addr: BlockAddr,
+        data: &BlockData,
+        dirty: bool,
+        region: Option<&ApproxRegion>,
+        emit: &mut dyn FnMut(Evicted),
+    ) {
+        match region {
+            Some(r) => {
+                self.insert_approx_with(addr, *data, r, emit);
+            }
+            None => self.insert_precise_with(addr, *data, emit),
+        }
+        let tid = self.locate_tag(addr).expect("just inserted");
+        self.tag_at_mut(tid).dirty = dirty;
+    }
+
+    fn contains(&self, addr: BlockAddr) -> bool {
+        self.locate_tag(addr).is_some()
+    }
+
+    fn invalidate(&mut self, addr: BlockAddr) {
+        if let Some(tid) = self.locate_tag(addr) {
+            self.evict_tag(tid);
+        }
+    }
+
+    fn for_each_block(&self, f: &mut dyn FnMut(BlockAddr, &BlockData)) {
+        self.iter_blocks().for_each(|(a, _, _, d)| f(a, d));
+    }
+
+    fn for_each_approx_block(&self, f: &mut dyn FnMut(BlockAddr, &BlockData)) {
+        self.iter_blocks().filter(|&(_, _, precise, _)| !precise).for_each(|(a, _, _, d)| f(a, d));
+    }
+
+    /// Visits dirty tags in set-major order.
+    fn flush_dirty(&mut self, sink: &mut dyn FnMut(BlockAddr, BlockData)) {
+        let mut dirty = Vec::new();
+        for (set, ways) in self.tags.iter().enumerate() {
+            for (way, e) in ways.iter().enumerate() {
+                if e.as_ref().is_some_and(|t| t.dirty) {
+                    dirty.push(TagId { set: set as u32, way: way as u32 });
+                }
+            }
+        }
+        for id in dirty {
+            let addr = self.block_addr_of_tag(id);
+            let did = self.data_of_tag(id);
+            let data = self.data_at(did).data;
+            self.tag_at_mut(id).dirty = false;
+            sink(addr, data);
+        }
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = DoppStats::default();
+    }
+
+    fn add_counters(&self, c: &mut LlcCounters) {
+        c.dopp += self.stats;
+        c.lookups += self.stats.lookups();
+        c.hits += self.stats.hits;
+    }
+
+    fn sharing_factor(&self) -> Option<f64> {
+        let (tags, data) = (self.resident_tags(), self.resident_data());
+        Some(if data == 0 { 0.0 } else { tags as f64 / data as f64 })
+    }
+
+    /// The same invariants as the optimized cache's `check_invariants`.
+    fn check_invariants(&self) {
         let mut covered = std::collections::HashSet::new();
         for (set, ways) in self.data.iter().enumerate() {
             for (way, e) in ways.iter().enumerate() {
@@ -568,6 +596,24 @@ impl OracleDoppelganger {
     }
 }
 
+impl OracleArray for OracleDoppelganger {
+    fn check_conservation(&self) {
+        let s = self.stats;
+        let tags = self.resident_tags();
+        assert_eq!(
+            s.insertions,
+            tags as u64 + s.tag_evictions,
+            "doppel: insertions != resident tags + tag evictions ({s:?})"
+        );
+        assert!(self.resident_data() <= tags, "doppel: more data entries than tags");
+        assert!(
+            s.back_invalidations <= s.tag_evictions,
+            "doppel: back-invalidations exceed tag evictions"
+        );
+        assert!(s.silent_writes + s.moved_writes <= s.writes, "doppel: write kinds exceed writes");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,7 +647,7 @@ mod tests {
         assert!(shared);
         assert_eq!(c.resident_tags(), 2);
         assert_eq!(c.resident_data(), 1);
-        assert_eq!(c.read(BlockAddr(2)), Some(blk(10.0)));
+        assert_eq!(c.lookup(BlockAddr(2)), Some(blk(10.0)));
         c.check_invariants();
     }
 
@@ -618,7 +664,7 @@ mod tests {
         }
         for i in 0..vals.len() {
             let a = BlockAddr(i as u64 + 1);
-            assert_eq!(oracle.read(a), fast.read(a), "read {i}");
+            assert_eq!(oracle.lookup(a), fast.lookup(a), "read {i}");
         }
         let w = blk(54.8);
         let mut sunk = Vec::new();

@@ -32,7 +32,7 @@ mod lockstep;
 mod mem;
 mod system;
 
-pub use cache::{OracleCache, OracleEvicted};
+pub use cache::OracleCache;
 pub use compressed::OracleCompressed;
 pub use doppel::OracleDoppelganger;
 pub use llc::OracleLlc;

@@ -1,67 +1,73 @@
-//! Reference LLC: routes accesses between the precise cache and the
-//! Doppelgänger cache exactly like `dg_system::Llc`.
+//! Reference LLC: a naive router over the oracle arrays, written apart
+//! from `dg_system::Llc` so that the two routings check each other.
 
 use crate::{OracleCache, OracleCompressed, OracleDoppelganger, OracleMemory};
-use dg_cache::{CacheGeometry, CacheStats, Evicted};
+use dg_cache::{CacheGeometry, Evicted};
 use dg_mem::{ApproxRegion, BlockAddr, BlockData};
-use dg_system::{DisplacedBlock, LlcAccess, LlcCounters, LlcKind, SystemConfig};
-use doppelganger::{Displaced, WriteStatus};
+use dg_system::{ArrayConfig, LlcAccess, LlcArray, LlcCounters, SystemConfig};
 
-/// Reference implementation of `dg_system::Llc`.
+/// An oracle array: the [`LlcArray`] operations plus the conservation
+/// laws tying its counters to its resident state.
+pub(crate) trait OracleArray: LlcArray {
+    /// Panic with a description if a conservation law fails.
+    fn check_conservation(&self);
+}
+
+/// Reference implementation of `dg_system::Llc`: the main array, and
+/// the approximate array of the split design.
 #[derive(Debug)]
-pub enum OracleLlc {
-    /// One conventional LLC.
-    Baseline(OracleCache),
-    /// Precise half + Doppelgänger cache, routed by annotation.
-    Split {
-        /// The conventional precise partition.
-        precise: OracleCache,
-        /// The Doppelgänger cache for annotated blocks.
-        doppel: OracleDoppelganger,
-    },
-    /// uniDoppelgänger: everything in one Doppelgänger-organized cache.
-    Unified(OracleDoppelganger),
-    /// Touché-style compressed LLC (superblock tags + BΔI segments).
-    Compressed(OracleCompressed),
+pub struct OracleLlc {
+    main: Box<dyn OracleArray>,
+    approx: Option<Box<dyn OracleArray>>,
 }
 
-/// Adapt `doppelganger::Displaced` to the system's `DisplacedBlock`
-/// (sharers are tracked by the directory, not the LLC, so they drop).
-fn emit_into(out: &mut Vec<DisplacedBlock>) -> impl FnMut(Displaced) + '_ {
-    |d| out.push(DisplacedBlock { addr: d.addr, dirty: d.dirty, data: d.data })
-}
-
-/// Same adapter for the compressed array's eviction type.
-fn emit_evicted(out: &mut Vec<DisplacedBlock>) -> impl FnMut(Evicted) + '_ {
-    |e| out.push(DisplacedBlock { addr: e.addr, dirty: e.dirty, data: e.data })
+fn build(cfg: &ArrayConfig) -> Box<dyn OracleArray> {
+    match *cfg {
+        ArrayConfig::Conventional { bytes, ways } => {
+            Box::new(OracleCache::new(CacheGeometry::from_capacity(bytes, ways)))
+        }
+        ArrayConfig::Doppelganger(dopp, policy) => {
+            let mut doppel = OracleDoppelganger::new(dopp);
+            doppel.set_data_policy(policy);
+            Box::new(doppel)
+        }
+        ArrayConfig::Compressed(comp) => Box::new(OracleCompressed::new(comp)),
+    }
 }
 
 impl OracleLlc {
     /// Build the LLC the configuration asks for.
     pub fn new(cfg: &SystemConfig) -> Self {
-        match cfg.llc {
-            LlcKind::Baseline => OracleLlc::Baseline(OracleCache::new(
-                CacheGeometry::from_capacity(cfg.llc_bytes, cfg.llc_ways),
-            )),
-            LlcKind::Split(dopp) => {
-                let mut doppel = OracleDoppelganger::new(dopp);
-                doppel.set_data_policy(cfg.data_policy);
-                OracleLlc::Split {
-                    precise: OracleCache::new(CacheGeometry::from_capacity(
-                        cfg.llc_bytes / 2,
-                        cfg.llc_ways,
-                    )),
-                    doppel,
-                }
+        let arrays = cfg.llc_arrays();
+        OracleLlc { main: build(&arrays.main), approx: arrays.approx.map(|a| build(&a)) }
+    }
+
+    /// The array holding blocks annotated `region`: the approximate
+    /// array for annotated blocks when there is one, else the main one.
+    fn holder(&mut self, region: Option<&ApproxRegion>) -> &mut dyn OracleArray {
+        if region.is_some() {
+            if let Some(approx) = self.approx.as_mut() {
+                return approx.as_mut();
             }
-            LlcKind::Unified(dopp) => {
-                assert!(dopp.unified);
-                let mut doppel = OracleDoppelganger::new(dopp);
-                doppel.set_data_policy(cfg.data_policy);
-                OracleLlc::Unified(doppel)
-            }
-            LlcKind::Compressed(comp) => OracleLlc::Compressed(OracleCompressed::new(comp)),
         }
+        self.main.as_mut()
+    }
+
+    /// Both arrays, main first.
+    fn all(&self) -> Vec<&dyn OracleArray> {
+        let mut out = vec![self.main.as_ref()];
+        if let Some(approx) = &self.approx {
+            out.push(approx.as_ref());
+        }
+        out
+    }
+
+    fn all_mut(&mut self) -> Vec<&mut dyn OracleArray> {
+        let mut out: Vec<&mut dyn OracleArray> = vec![self.main.as_mut()];
+        if let Some(approx) = &mut self.approx {
+            out.push(approx.as_mut());
+        }
+        out
     }
 
     /// Serve a read, filling from `dram` on a miss.
@@ -70,340 +76,91 @@ impl OracleLlc {
         addr: BlockAddr,
         region: Option<&ApproxRegion>,
         dram: &mut OracleMemory,
-        displaced: &mut Vec<DisplacedBlock>,
+        displaced: &mut Vec<Evicted>,
     ) -> LlcAccess {
-        match self {
-            OracleLlc::Baseline(c) => conventional_read(c, addr, dram, displaced),
-            OracleLlc::Split { precise, doppel } => match region {
-                None => conventional_read(precise, addr, dram, displaced),
-                Some(r) => doppel_read(doppel, addr, Some(r), dram, displaced),
-            },
-            OracleLlc::Unified(d) => doppel_read(d, addr, region, dram, displaced),
-            OracleLlc::Compressed(c) => compressed_read(c, addr, dram, displaced),
+        let array = self.holder(region);
+        match array.lookup(addr) {
+            Some(data) => LlcAccess { hit: true, data, fetched_from_memory: false },
+            None => {
+                let data = dram.fetch_block(addr);
+                array.fill(addr, &data, false, region, &mut |e| displaced.push(e));
+                LlcAccess { hit: false, data, fetched_from_memory: true }
+            }
         }
     }
 
-    /// Accept a writeback from a private cache, allocating on a miss.
+    /// Accept a writeback from a private cache, allocating dirty on a
+    /// miss.
     pub fn writeback_into(
         &mut self,
         addr: BlockAddr,
         data: BlockData,
         region: Option<&ApproxRegion>,
-        displaced: &mut Vec<DisplacedBlock>,
+        displaced: &mut Vec<Evicted>,
     ) -> LlcAccess {
-        match self {
-            OracleLlc::Baseline(c) => conventional_writeback(c, addr, data, displaced),
-            OracleLlc::Split { precise, doppel } => match region {
-                None => conventional_writeback(precise, addr, data, displaced),
-                Some(r) => doppel_writeback(doppel, addr, data, Some(r), displaced),
-            },
-            OracleLlc::Unified(d) => doppel_writeback(d, addr, data, region, displaced),
-            OracleLlc::Compressed(c) => compressed_writeback(c, addr, data, displaced),
+        let array = self.holder(region);
+        if array.write(addr, &data, region, &mut |e| displaced.push(e)) {
+            return LlcAccess { hit: true, data, fetched_from_memory: false };
         }
+        array.fill(addr, &data, true, region, &mut |e| displaced.push(e));
+        LlcAccess { hit: false, data, fetched_from_memory: false }
     }
 
     /// Activity counters, shaped exactly like the optimized LLC's.
     pub fn counters(&self) -> LlcCounters {
-        fn conv(stats: &CacheStats) -> (u64, u64) {
-            (stats.accesses(), stats.hits + stats.insertions)
+        let mut c = LlcCounters::default();
+        for a in self.all() {
+            a.add_counters(&mut c);
         }
-        match self {
-            OracleLlc::Baseline(c) => {
-                let (t, d) = conv(c.stats());
-                LlcCounters {
-                    precise_tag_accesses: t,
-                    precise_data_accesses: d,
-                    dopp: Default::default(),
-                    comp: Default::default(),
-                    lookups: c.stats().accesses(),
-                    hits: c.stats().hits,
-                }
-            }
-            OracleLlc::Split { precise, doppel } => {
-                let (t, d) = conv(precise.stats());
-                let dopp = *doppel.stats();
-                LlcCounters {
-                    precise_tag_accesses: t,
-                    precise_data_accesses: d,
-                    dopp,
-                    comp: Default::default(),
-                    lookups: precise.stats().accesses() + dopp.lookups(),
-                    hits: precise.stats().hits + dopp.hits,
-                }
-            }
-            OracleLlc::Unified(d) => {
-                let dopp = *d.stats();
-                LlcCounters {
-                    precise_tag_accesses: 0,
-                    precise_data_accesses: 0,
-                    dopp,
-                    comp: Default::default(),
-                    lookups: dopp.lookups(),
-                    hits: dopp.hits,
-                }
-            }
-            OracleLlc::Compressed(c) => LlcCounters {
-                precise_tag_accesses: 0,
-                precise_data_accesses: 0,
-                dopp: Default::default(),
-                comp: *c.stats(),
-                lookups: c.stats().accesses(),
-                hits: c.stats().hits,
-            },
-        }
+        c
     }
 
-    /// Resident blocks, precise partition first for the split design.
+    /// Resident blocks, main array first.
     pub fn resident_blocks(&self) -> Vec<(BlockAddr, BlockData)> {
-        match self {
-            OracleLlc::Baseline(c) => c.iter_blocks().map(|(a, _, d)| (a, *d)).collect(),
-            OracleLlc::Split { precise, doppel } => precise
-                .iter_blocks()
-                .map(|(a, _, d)| (a, *d))
-                .chain(doppel.iter_blocks().map(|(a, _, _, d)| (a, *d)))
-                .collect(),
-            OracleLlc::Unified(d) => d.iter_blocks().map(|(a, _, _, d)| (a, *d)).collect(),
-            OracleLlc::Compressed(c) => c.iter_blocks().map(|(a, _, d)| (a, *d)).collect(),
+        let mut out = Vec::new();
+        for a in self.all() {
+            a.for_each_block(&mut |addr, data| out.push((addr, *data)));
         }
+        out
     }
 
-    /// Tag-sharing factor (0 for the baseline).
+    /// Tag-sharing factor (0 without Doppelgänger arrays).
     pub fn sharing_factor(&self) -> f64 {
-        match self {
-            OracleLlc::Baseline(_) | OracleLlc::Compressed(_) => 0.0,
-            OracleLlc::Split { doppel, .. } => doppel.avg_tags_per_data(),
-            OracleLlc::Unified(d) => d.avg_tags_per_data(),
-        }
+        self.all().into_iter().find_map(|a| a.sharing_factor()).unwrap_or(0.0)
     }
 
     /// Write every dirty block to `dram`, leaving the LLC clean.
     pub fn flush_dirty(&mut self, dram: &mut OracleMemory) {
-        fn flush_conventional(cache: &mut OracleCache, dram: &mut OracleMemory) {
-            let dirty: Vec<(BlockAddr, BlockData)> =
-                cache.iter_blocks().filter(|(_, d, _)| *d).map(|(a, _, data)| (a, *data)).collect();
-            for (a, data) in dirty {
-                dram.set_block(a, data);
-                cache.clear_dirty(a);
-            }
-        }
-        match self {
-            OracleLlc::Baseline(c) => flush_conventional(c, dram),
-            OracleLlc::Split { precise, doppel } => {
-                flush_conventional(precise, dram);
-                doppel.flush_dirty(|a, data| dram.set_block(a, data));
-            }
-            OracleLlc::Unified(d) => d.flush_dirty(|a, data| dram.set_block(a, data)),
-            OracleLlc::Compressed(c) => {
-                let dirty: Vec<(BlockAddr, BlockData)> =
-                    c.iter_blocks().filter(|(_, d, _)| *d).map(|(a, _, data)| (a, *data)).collect();
-                for (a, data) in dirty {
-                    dram.set_block(a, data);
-                    c.clear_dirty(a);
-                }
-            }
+        for a in self.all_mut() {
+            a.flush_dirty(&mut |addr, data| dram.set_block(addr, data));
         }
     }
 
     /// Whether `addr` is resident (no stats).
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        match self {
-            OracleLlc::Baseline(c) => c.contains(addr),
-            OracleLlc::Split { precise, doppel } => {
-                precise.contains(addr) || doppel.contains(addr)
-            }
-            OracleLlc::Unified(d) => d.contains(addr),
-            OracleLlc::Compressed(c) => c.contains(addr),
-        }
+        self.all().into_iter().any(|a| a.contains(addr))
     }
 
-    /// Verify Doppelgänger structural invariants (no-op for baseline).
+    /// Verify structural invariants.
     pub fn check_invariants(&self) {
-        match self {
-            OracleLlc::Baseline(_) => {}
-            OracleLlc::Split { doppel, .. } => doppel.check_invariants(),
-            OracleLlc::Unified(d) => d.check_invariants(),
-            OracleLlc::Compressed(c) => c.check_invariants(),
+        for a in self.all() {
+            a.check_invariants();
         }
     }
 
     /// Reset statistics.
     pub fn reset_stats(&mut self) {
-        match self {
-            OracleLlc::Baseline(c) => c.reset_stats(),
-            OracleLlc::Split { precise, doppel } => {
-                precise.reset_stats();
-                doppel.reset_stats();
-            }
-            OracleLlc::Unified(d) => d.reset_stats(),
-            OracleLlc::Compressed(c) => c.reset_stats(),
+        for a in self.all_mut() {
+            a.reset_stats();
         }
     }
 
-    /// Conservation laws tying the counters to the resident state;
-    /// panics with a description on violation. Run by the lockstep
-    /// harness at every structural checkpoint.
+    /// Conservation laws tying the counters to the resident state, one
+    /// check per array; panics with a description on violation. Run by
+    /// the lockstep harness at every structural checkpoint.
     pub fn check_conservation(&self) {
-        fn conv(label: &str, c: &OracleCache) {
-            let s = c.stats();
-            assert_eq!(
-                s.insertions,
-                c.len() as u64 + s.evictions + s.invalidations,
-                "{label}: insertions != resident + evictions + invalidations ({s:?})"
-            );
-            assert!(s.dirty_evictions <= s.evictions, "{label}: dirty evictions exceed evictions");
+        for a in self.all() {
+            a.check_conservation();
         }
-        fn dopp(d: &OracleDoppelganger) {
-            let s = d.stats();
-            assert_eq!(
-                s.insertions,
-                d.resident_tags() as u64 + s.tag_evictions,
-                "doppel: insertions != resident tags + tag evictions ({s:?})"
-            );
-            assert!(
-                d.resident_data() <= d.resident_tags(),
-                "doppel: more data entries than tags"
-            );
-            assert!(
-                s.back_invalidations <= s.tag_evictions,
-                "doppel: back-invalidations exceed tag evictions"
-            );
-            assert!(s.silent_writes + s.moved_writes <= s.writes, "doppel: write kinds exceed writes");
-        }
-        fn comp(c: &OracleCompressed) {
-            let s = c.stats();
-            assert_eq!(
-                s.insertions,
-                c.len() as u64 + s.evictions + s.invalidations,
-                "compressed: insertions != resident + evictions + invalidations ({s:?})"
-            );
-            assert_eq!(s.compressions, s.insertions, "compressed: every fill compresses once");
-            assert_eq!(
-                s.decompressions + s.recompressions,
-                s.hits,
-                "compressed: every hit is one codec pass ({s:?})"
-            );
-            assert!(s.dirty_evictions <= s.evictions, "compressed: dirty evictions exceed evictions");
-            assert!(
-                s.expansion_evictions <= s.evictions,
-                "compressed: expansion evictions exceed evictions"
-            );
-            assert!(s.tag_evictions <= s.evictions, "compressed: tag evictions exceed evictions");
-            assert!(s.fill_segments >= s.insertions, "compressed: fills must take >= 1 segment");
-        }
-        match self {
-            OracleLlc::Baseline(c) => conv("baseline LLC", c),
-            OracleLlc::Split { precise, doppel: d } => {
-                conv("precise LLC partition", precise);
-                dopp(d);
-            }
-            OracleLlc::Unified(d) => dopp(d),
-            OracleLlc::Compressed(c) => comp(c),
-        }
-    }
-}
-
-fn conventional_read(
-    cache: &mut OracleCache,
-    addr: BlockAddr,
-    dram: &mut OracleMemory,
-    displaced: &mut Vec<DisplacedBlock>,
-) -> LlcAccess {
-    if let Some(data) = cache.read(addr) {
-        return LlcAccess { hit: true, data, fetched_from_memory: false };
-    }
-    let data = dram.fetch_block(addr);
-    if let Some(ev) = cache.fill(addr, &data, false) {
-        displaced.push(DisplacedBlock { addr: ev.addr, dirty: ev.dirty, data: ev.data });
-    }
-    LlcAccess { hit: false, data, fetched_from_memory: true }
-}
-
-fn conventional_writeback(
-    cache: &mut OracleCache,
-    addr: BlockAddr,
-    data: BlockData,
-    displaced: &mut Vec<DisplacedBlock>,
-) -> LlcAccess {
-    if cache.write(addr, data) {
-        return LlcAccess { hit: true, data, fetched_from_memory: false };
-    }
-    if let Some(ev) = cache.fill(addr, &data, true) {
-        displaced.push(DisplacedBlock { addr: ev.addr, dirty: ev.dirty, data: ev.data });
-    }
-    LlcAccess { hit: false, data, fetched_from_memory: false }
-}
-
-fn compressed_read(
-    cache: &mut OracleCompressed,
-    addr: BlockAddr,
-    dram: &mut OracleMemory,
-    displaced: &mut Vec<DisplacedBlock>,
-) -> LlcAccess {
-    if let Some(data) = cache.read(addr) {
-        return LlcAccess { hit: true, data, fetched_from_memory: false };
-    }
-    let data = dram.fetch_block(addr);
-    cache.fill(addr, &data, false, &mut emit_evicted(displaced));
-    LlcAccess { hit: false, data, fetched_from_memory: true }
-}
-
-fn compressed_writeback(
-    cache: &mut OracleCompressed,
-    addr: BlockAddr,
-    data: BlockData,
-    displaced: &mut Vec<DisplacedBlock>,
-) -> LlcAccess {
-    if cache.write(addr, &data, &mut emit_evicted(displaced)) {
-        return LlcAccess { hit: true, data, fetched_from_memory: false };
-    }
-    // Non-inclusive corner (the block was displaced concurrently):
-    // allocate it dirty.
-    cache.fill(addr, &data, true, &mut emit_evicted(displaced));
-    LlcAccess { hit: false, data, fetched_from_memory: false }
-}
-
-fn doppel_read(
-    doppel: &mut OracleDoppelganger,
-    addr: BlockAddr,
-    region: Option<&ApproxRegion>,
-    dram: &mut OracleMemory,
-    displaced: &mut Vec<DisplacedBlock>,
-) -> LlcAccess {
-    if let Some(data) = doppel.read(addr) {
-        return LlcAccess { hit: true, data, fetched_from_memory: false };
-    }
-    let data = dram.fetch_block(addr);
-    match region {
-        Some(r) => {
-            doppel.insert_approx_with(addr, data, r, &mut emit_into(displaced));
-        }
-        None => doppel.insert_precise_with(addr, data, &mut emit_into(displaced)),
-    }
-    LlcAccess { hit: false, data, fetched_from_memory: true }
-}
-
-fn doppel_writeback(
-    doppel: &mut OracleDoppelganger,
-    addr: BlockAddr,
-    data: BlockData,
-    region: Option<&ApproxRegion>,
-    displaced: &mut Vec<DisplacedBlock>,
-) -> LlcAccess {
-    let status = doppel.write_with(addr, data, region, &mut emit_into(displaced));
-    match status {
-        WriteStatus::NotResident => {
-            match region {
-                Some(r) => {
-                    doppel.insert_approx_with(addr, data, r, &mut emit_into(displaced));
-                }
-                None => doppel.insert_precise_with(addr, data, &mut emit_into(displaced)),
-            }
-            doppel.mark_dirty(addr);
-            LlcAccess { hit: false, data, fetched_from_memory: false }
-        }
-        WriteStatus::SameMap | WriteStatus::PreciseUpdated => {
-            LlcAccess { hit: true, data, fetched_from_memory: false }
-        }
-        WriteStatus::Moved { .. } => LlcAccess { hit: true, data, fetched_from_memory: false },
     }
 }

@@ -2,9 +2,9 @@
 //! inclusion) over naive oracle components.
 
 use crate::{OracleCache, OracleLlc, OracleMemory};
-use dg_cache::{CacheGeometry, CacheStats, Sharers};
+use dg_cache::{CacheGeometry, CacheStats, Evicted, Sharers};
 use dg_mem::{Addr, AnnotationTable, ApproxRegion, BlockAddr, BlockData, MemoryImage};
-use dg_system::{DisplacedBlock, LlcCounters, SystemConfig};
+use dg_system::{LlcCounters, SystemConfig};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Reference implementation of `dg_system::System`.
@@ -26,7 +26,7 @@ pub struct OracleSystem {
     directory: BTreeMap<BlockAddr, Sharers>,
     wb: VecDeque<(BlockAddr, BlockData)>,
     wb_total: u64,
-    displaced: Vec<DisplacedBlock>,
+    displaced: Vec<Evicted>,
     cycles: Vec<u64>,
     insts: Vec<u64>,
     off_chip_reads: u64,

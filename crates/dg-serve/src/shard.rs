@@ -44,7 +44,7 @@ impl ShardState {
         // mutably borrowed.
         let (mut displaced, mut dirty) = (0u64, 0u64);
         let resp = {
-            let mut emit = |d: doppelganger::Displaced| {
+            let mut emit = |d: dg_cache::Evicted| {
                 displaced += 1;
                 if d.dirty {
                     dirty += 1;

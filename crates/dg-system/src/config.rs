@@ -40,6 +40,67 @@ impl LlcKind {
     }
 }
 
+/// One array an LLC organization is built from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ArrayConfig {
+    /// A conventional set-associative cache.
+    Conventional {
+        /// Capacity in bytes.
+        bytes: usize,
+        /// Associativity.
+        ways: usize,
+    },
+    /// Doppelgänger tag, MTag and data arrays, with the data array's
+    /// victim policy.
+    Doppelganger(DoppelgangerConfig, DataPolicy),
+    /// A Touché-style compressed cache.
+    Compressed(CompressedConfig),
+}
+
+impl ArrayConfig {
+    /// Check the array's shape. `holds_precise` says whether precise
+    /// blocks can reach it (true for an organization's main array).
+    fn validate(&self, name: &str, holds_precise: bool) -> Result<(), String> {
+        match *self {
+            ArrayConfig::Conventional { bytes, ways } => {
+                CacheGeometry::try_from_capacity(bytes, ways)
+                    .map(drop)
+                    .map_err(|e| format!("{name}: {e}"))
+            }
+            ArrayConfig::Doppelganger(d, _) => {
+                d.validate().map_err(|e| format!("Doppelganger {e}"))?;
+                match (holds_precise, d.unified) {
+                    (true, false) => {
+                        Err("an LLC holding precise blocks needs a uniDoppelganger config".into())
+                    }
+                    (false, true) => {
+                        Err("an approximate LLC partition needs a non-unified config".into())
+                    }
+                    _ => Ok(()),
+                }
+            }
+            ArrayConfig::Compressed(c) => c.validate().map_err(|e| format!("compressed LLC: {e}")),
+        }
+    }
+}
+
+/// The arrays of one LLC organization. Annotated blocks go to
+/// `approx` when there is one; every other block goes to `main`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LlcArrays {
+    /// The array that receives every block `approx` does not.
+    pub main: ArrayConfig,
+    /// The array for annotated (approximate) blocks, if any.
+    pub approx: Option<ArrayConfig>,
+}
+
+impl LlcArrays {
+    /// The arrays in visiting order: `main` first.
+    pub fn iter(&self) -> impl Iterator<Item = &ArrayConfig> {
+        std::iter::once(&self.main).chain(self.approx.as_ref())
+    }
+}
+
 /// Full system configuration (Table 1 defaults).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SystemConfig {
@@ -155,6 +216,22 @@ impl SystemConfig {
         SystemConfig::tiny(LlcKind::Split(dopp))
     }
 
+    /// The arrays the LLC organization is built from. This is the one
+    /// place each organization's geometry is derived: the engine's and
+    /// the oracle's LLC, the energy model and [`Self::validate`] all
+    /// read it.
+    pub fn llc_arrays(&self) -> LlcArrays {
+        let conventional = |bytes| ArrayConfig::Conventional { bytes, ways: self.llc_ways };
+        let doppelganger = |d| ArrayConfig::Doppelganger(d, self.data_policy);
+        let (main, approx) = match self.llc {
+            LlcKind::Baseline => (conventional(self.llc_bytes), None),
+            LlcKind::Split(d) => (conventional(self.llc_bytes / 2), Some(doppelganger(d))),
+            LlcKind::Unified(d) => (doppelganger(d), None),
+            LlcKind::Compressed(c) => (ArrayConfig::Compressed(c), None),
+        };
+        LlcArrays { main, approx }
+    }
+
     /// Check every cache shape and the core count without building a
     /// system.
     ///
@@ -175,32 +252,13 @@ impl SystemConfig {
             .map_err(|e| format!("L1: {e}"))?;
         CacheGeometry::try_from_capacity(self.l2_bytes, self.l2_ways)
             .map_err(|e| format!("L2: {e}"))?;
-        match self.llc {
-            LlcKind::Baseline => {
-                CacheGeometry::try_from_capacity(self.llc_bytes, self.llc_ways)
-                    .map_err(|e| format!("LLC: {e}"))?;
-            }
-            LlcKind::Split(d) => {
-                CacheGeometry::try_from_capacity(self.llc_bytes / 2, self.llc_ways)
-                    .map_err(|e| format!("precise LLC partition: {e}"))?;
-                d.validate().map_err(|e| format!("Doppelganger {e}"))?;
-                if d.unified {
-                    return Err("split LLC requires a non-unified Doppelganger config".into());
-                }
-            }
-            LlcKind::Unified(d) => {
-                d.validate().map_err(|e| format!("Doppelganger {e}"))?;
-                if !d.unified {
-                    return Err(
-                        "unified LLC requires a uniDoppelganger config (unified: true)".into()
-                    );
-                }
-            }
-            LlcKind::Compressed(c) => {
-                c.validate().map_err(|e| format!("compressed LLC: {e}"))?;
-            }
+        let arrays = self.llc_arrays();
+        let main = if arrays.approx.is_some() { "precise LLC partition" } else { "LLC" };
+        arrays.main.validate(main, true)?;
+        match arrays.approx {
+            Some(approx) => approx.validate("approximate LLC partition", false),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

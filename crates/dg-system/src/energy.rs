@@ -1,6 +1,6 @@
 //! LLC energy and area accounting (Figs. 11, 13).
 
-use crate::{LlcCounters, LlcKind, SystemConfig};
+use crate::{ArrayConfig, LlcCounters, SystemConfig};
 use dg_cache::CompressedConfig;
 use dg_energy::{CactiLite, EnergyAccount, BDI_CODEC_PJ, MAP_ENERGY_PJ, MAP_UNITS_AREA_MM2};
 use dg_mem::BLOCK_OFFSET_BITS;
@@ -74,59 +74,32 @@ pub fn llc_energy(cfg: &SystemConfig, counters: &LlcCounters, cycles: u64) -> En
     let mut area = 0.0;
     let mut total_kb = 0.0;
 
-    let add_conventional = |capacity: usize, tag_accesses: u64, data_accesses: u64,
-                                dynamic: &mut EnergyAccount| {
-        let cost = hw.conventional("llc", capacity, cfg.llc_ways);
-        let tag_kb = kb(cost.tag_bits_total());
-        let data_kb = kb(cost.data_bits_total());
-        let est = model.structure(tag_kb, Some(data_kb));
-        dynamic.add(tag_accesses, est.tag.read_energy_pj);
-        dynamic.add(data_accesses, est.data.expect("has data").read_energy_pj);
-        (est.leakage_mw, est.area_mm2(), cost.total_kbytes())
-    };
-
-    match cfg.llc {
-        LlcKind::Baseline => {
-            let (l, a, k) = add_conventional(
-                cfg.llc_bytes,
-                counters.precise_tag_accesses,
-                counters.precise_data_accesses,
-                &mut dynamic,
-            );
-            breakdown.precise_pj = dynamic.dynamic_pj();
-            leak_mw += l;
-            area += a;
-            total_kb += k;
-        }
-        LlcKind::Split(dopp) => {
-            let (l, a, k) = add_conventional(
-                cfg.llc_bytes / 2,
-                counters.precise_tag_accesses,
-                counters.precise_data_accesses,
-                &mut dynamic,
-            );
-            breakdown.precise_pj = dynamic.dynamic_pj();
-            leak_mw += l;
-            area += a;
-            total_kb += k;
-            let (l, a, k) = add_doppel(&model, &hw, &dopp, counters, &mut dynamic, &mut breakdown);
-            leak_mw += l;
-            area += a;
-            total_kb += k;
-        }
-        LlcKind::Unified(dopp) => {
-            let (l, a, k) = add_doppel(&model, &hw, &dopp, counters, &mut dynamic, &mut breakdown);
-            leak_mw += l;
-            area += a;
-            total_kb += k;
-        }
-        LlcKind::Compressed(comp) => {
-            let (l, a, k) =
-                add_compressed(&model, &hw, &comp, counters, &mut dynamic, &mut breakdown);
-            leak_mw += l;
-            area += a;
-            total_kb += k;
-        }
+    // Main array first: the conventional array's share is read off the
+    // running total before any other array adds to it.
+    for array in cfg.llc_arrays().iter() {
+        let (l, a, k) = match array {
+            &ArrayConfig::Conventional { bytes, ways } => {
+                let cost = hw.conventional("llc", bytes, ways);
+                let est =
+                    model.structure(kb(cost.tag_bits_total()), Some(kb(cost.data_bits_total())));
+                dynamic.add(counters.precise_tag_accesses, est.tag.read_energy_pj);
+                dynamic.add(
+                    counters.precise_data_accesses,
+                    est.data.expect("has data").read_energy_pj,
+                );
+                breakdown.precise_pj = dynamic.dynamic_pj();
+                (est.leakage_mw, est.area_mm2(), cost.total_kbytes())
+            }
+            ArrayConfig::Doppelganger(dopp, _) => {
+                add_doppel(&model, &hw, dopp, counters, &mut dynamic, &mut breakdown)
+            }
+            ArrayConfig::Compressed(comp) => {
+                add_compressed(&model, &hw, comp, counters, &mut dynamic, &mut breakdown)
+            }
+        };
+        leak_mw += l;
+        area += a;
+        total_kb += k;
     }
 
     EnergyReport {
@@ -231,6 +204,7 @@ pub fn llc_area_mm2(cfg: &SystemConfig) -> f64 {
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
+    use crate::LlcKind;
 
     #[test]
     fn paper_area_reduction_split_vs_baseline() {

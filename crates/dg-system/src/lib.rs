@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod array;
 mod config;
 mod energy;
 mod llc;
@@ -41,9 +42,10 @@ pub mod sampled;
 pub mod similarity;
 mod system;
 
-pub use config::{LlcKind, SystemConfig};
+pub use array::LlcArray;
+pub use config::{ArrayConfig, LlcArrays, LlcKind, SystemConfig};
 pub use energy::{llc_area_mm2, llc_energy, EnergyBreakdown, EnergyReport};
-pub use llc::{DisplacedBlock, Llc, LlcAccess, LlcCounters};
+pub use llc::{Llc, LlcAccess, LlcCounters};
 pub use replay::{capture_trace, replay, replay_batched};
 pub use runner::{
     assert_baseline_exact, collect_snapshots, evaluate, evaluate_and_snapshots,

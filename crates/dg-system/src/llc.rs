@@ -1,26 +1,12 @@
-//! The shared LLC in its four organizations (baseline / split /
-//! uniDoppelgänger / compressed).
+//! The shared LLC: one router over one or two [`LlcArray`]s, which is
+//! how all four organizations (baseline / split / uniDoppelgänger /
+//! compressed) are built.
 
-use crate::{LlcKind, SystemConfig};
-use dg_cache::{CacheGeometry, CacheStats, CompStats, CompressedCache, ConventionalCache, Evicted};
+use crate::{ArrayConfig, LlcArray, SystemConfig};
+use dg_cache::{CacheGeometry, CompStats, CompressedCache, ConventionalCache, Evicted};
 use dg_mem::{ApproxRegion, BlockAddr, BlockData, MemoryImage};
 use dg_obs::{Hist64, Snapshot};
-use doppelganger::{Displaced, DoppStats, DoppelgangerCache, WriteStatus};
-
-/// A block pushed out of the LLC (eviction or Doppelgänger data-entry
-/// displacement). The hierarchy must back-invalidate private copies
-/// and, if `dirty`, write `data` back to memory.
-#[derive(Clone, Copy, Debug)]
-pub struct DisplacedBlock {
-    /// The displaced block's address.
-    pub addr: BlockAddr,
-    /// Whether a writeback is required.
-    pub dirty: bool,
-    /// The data to write back (the shared representative for
-    /// approximate blocks). Meaningful only when `dirty`: a clean
-    /// conventional victim's bytes are never copied out.
-    pub data: BlockData,
-}
+use doppelganger::{DoppStats, DoppelgangerCache};
 
 /// Result of an LLC read ([`Llc::read_into`]) or writeback
 /// ([`Llc::writeback_into`]). Displaced blocks go to the caller's
@@ -123,76 +109,80 @@ impl Snapshot for LlcCounters {
     }
 }
 
-/// The last-level cache under test.
+/// The last-level cache under test: a main array plus, in the split
+/// design, an approximate array ([`SystemConfig::llc_arrays`]).
+///
+/// One routing rule: an annotated block goes to the approximate array
+/// when there is one; every other block goes to the main array, which
+/// still receives the block's region (uniDoppelgänger maps the
+/// annotated blocks it holds). Every other operation visits the main
+/// array first, then the approximate one.
 #[derive(Debug)]
-pub enum Llc {
-    /// One conventional cache (the 2 MB baseline).
-    Baseline(ConventionalCache),
-    /// Precise conventional cache + Doppelgänger approximate cache.
-    Split {
-        /// The 1 MB precise partition.
-        precise: ConventionalCache,
-        /// The Doppelgänger partition.
-        doppel: DoppelgangerCache,
-    },
-    /// uniDoppelgänger: everything in one Doppelgänger-organized cache.
-    Unified(DoppelgangerCache),
-    /// A Touché-style compressed cache (exact: BΔI, superblock tags).
-    Compressed(CompressedCache),
+pub struct Llc {
+    main: Box<dyn LlcArray>,
+    approx: Option<Box<dyn LlcArray>>,
+}
+
+/// Build one array.
+fn build(cfg: &ArrayConfig) -> Box<dyn LlcArray> {
+    match *cfg {
+        ArrayConfig::Conventional { bytes, ways } => {
+            Box::new(ConventionalCache::new(CacheGeometry::from_capacity(bytes, ways)))
+        }
+        ArrayConfig::Doppelganger(dopp, policy) => {
+            let mut cache = DoppelgangerCache::new(dopp);
+            cache.set_data_policy(policy);
+            Box::new(cache)
+        }
+        ArrayConfig::Compressed(comp) => Box::new(CompressedCache::new(comp)),
+    }
 }
 
 impl Llc {
     /// Build the LLC described by `cfg`.
     pub fn new(cfg: &SystemConfig) -> Self {
-        match cfg.llc {
-            LlcKind::Baseline => Llc::Baseline(ConventionalCache::new(
-                CacheGeometry::from_capacity(cfg.llc_bytes, cfg.llc_ways),
-            )),
-            LlcKind::Split(dopp) => {
-                let mut doppel = DoppelgangerCache::new(dopp);
-                doppel.set_data_policy(cfg.data_policy);
-                Llc::Split {
-                    precise: ConventionalCache::new(CacheGeometry::from_capacity(
-                        cfg.llc_bytes / 2,
-                        cfg.llc_ways,
-                    )),
-                    doppel,
-                }
-            }
-            LlcKind::Unified(dopp) => {
-                assert!(dopp.unified, "unified LLC requires a unified Doppelganger config");
-                let mut doppel = DoppelgangerCache::new(dopp);
-                doppel.set_data_policy(cfg.data_policy);
-                Llc::Unified(doppel)
-            }
-            LlcKind::Compressed(comp) => Llc::Compressed(CompressedCache::new(comp)),
+        let arrays = cfg.llc_arrays();
+        Llc { main: build(&arrays.main), approx: arrays.approx.as_ref().map(build) }
+    }
+
+    /// The arrays in visiting order: main first.
+    fn arrays(&self) -> impl Iterator<Item = &dyn LlcArray> {
+        std::iter::once(self.main.as_ref()).chain(self.approx.as_deref())
+    }
+
+    fn arrays_mut(&mut self) -> impl Iterator<Item = &mut (dyn LlcArray + 'static)> {
+        std::iter::once(self.main.as_mut()).chain(self.approx.as_deref_mut())
+    }
+
+    /// The routing rule: the array that holds a block with annotation
+    /// `region`.
+    fn route(&mut self, region: Option<&ApproxRegion>) -> &mut dyn LlcArray {
+        match (region, &mut self.approx) {
+            (Some(_), Some(approx)) => approx.as_mut(),
+            _ => self.main.as_mut(),
         }
     }
 
-    /// Read `addr`; on a miss, fetch from `dram` and insert. Displaced
+    /// Read `addr`; on a miss, fetch from `dram` and fill. Displaced
     /// blocks are appended to `displaced` (a reusable scratch buffer).
     ///
     /// `region` is the annotation covering the block (`None` for
-    /// precise blocks) — it routes the request in the split design and
-    /// drives map generation.
+    /// precise blocks) — it routes the request and drives map
+    /// generation.
     pub fn read_into(
         &mut self,
         addr: BlockAddr,
         region: Option<&ApproxRegion>,
         dram: &mut MemoryImage,
-        displaced: &mut Vec<DisplacedBlock>,
+        displaced: &mut Vec<Evicted>,
     ) -> LlcAccess {
-        match self {
-            Llc::Baseline(cache) => Self::conventional_read(cache, addr, dram, displaced),
-            Llc::Split { precise, doppel } => match region {
-                None => Self::conventional_read(precise, addr, dram, displaced),
-                Some(r) => Self::doppel_read(doppel, addr, Some(r), dram, displaced),
-            },
-            Llc::Unified(doppel) => Self::doppel_read(doppel, addr, region, dram, displaced),
-            // Compression is exact and region-blind: approximate and
-            // precise blocks take the same path.
-            Llc::Compressed(cache) => Self::compressed_read(cache, addr, dram, displaced),
+        let array = self.route(region);
+        if let Some(data) = array.lookup(addr) {
+            return LlcAccess { hit: true, data, fetched_from_memory: false };
         }
+        let data = dram.fetch_block(addr);
+        array.fill(addr, &data, false, region, &mut |e| displaced.push(e));
+        LlcAccess { hit: false, data, fetched_from_memory: true }
     }
 
     /// Accept a dirty writeback from an L2. Displaced blocks are
@@ -202,444 +192,127 @@ impl Llc {
         addr: BlockAddr,
         data: BlockData,
         region: Option<&ApproxRegion>,
-        displaced: &mut Vec<DisplacedBlock>,
+        displaced: &mut Vec<Evicted>,
     ) -> LlcAccess {
-        match self {
-            Llc::Baseline(cache) => Self::conventional_writeback(cache, addr, data, displaced),
-            Llc::Split { precise, doppel } => match region {
-                None => Self::conventional_writeback(precise, addr, data, displaced),
-                Some(r) => Self::doppel_writeback(doppel, addr, data, Some(r), displaced),
-            },
-            Llc::Unified(doppel) => Self::doppel_writeback(doppel, addr, data, region, displaced),
-            Llc::Compressed(cache) => Self::compressed_writeback(cache, addr, data, displaced),
+        let array = self.route(region);
+        let mut emit = |e| displaced.push(e);
+        let hit = array.write(addr, &data, region, &mut emit);
+        if !hit {
+            // Non-inclusive corner (the block was displaced
+            // concurrently): allocate it dirty.
+            array.fill(addr, &data, true, region, &mut emit);
         }
+        LlcAccess { hit, data, fetched_from_memory: false }
     }
 
     /// Whether `addr` is resident.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        match self {
-            Llc::Baseline(c) => c.contains(addr),
-            Llc::Split { precise, doppel } => precise.contains(addr) || doppel.contains(addr),
-            Llc::Unified(d) => d.contains(addr),
-            Llc::Compressed(c) => c.contains(addr),
-        }
+        self.arrays().any(|a| a.contains(addr))
     }
 
     /// Activity counters for energy accounting and MPKI.
     pub fn counters(&self) -> LlcCounters {
-        fn conv(stats: &CacheStats) -> (u64, u64) {
-            // Every lookup probes the tag array; hits and fills touch
-            // the data array.
-            (stats.accesses(), stats.hits + stats.insertions)
-        }
-        match self {
-            Llc::Baseline(c) => {
-                let (t, d) = conv(c.stats());
-                LlcCounters {
-                    precise_tag_accesses: t,
-                    precise_data_accesses: d,
-                    dopp: DoppStats::default(),
-                    comp: CompStats::default(),
-                    lookups: c.stats().accesses(),
-                    hits: c.stats().hits,
-                }
-            }
-            Llc::Split { precise, doppel } => {
-                let (t, d) = conv(precise.stats());
-                LlcCounters {
-                    precise_tag_accesses: t,
-                    precise_data_accesses: d,
-                    dopp: *doppel.stats(),
-                    comp: CompStats::default(),
-                    lookups: precise.stats().accesses() + doppel.stats().lookups(),
-                    hits: precise.stats().hits + doppel.stats().hits,
-                }
-            }
-            Llc::Unified(d) => LlcCounters {
-                precise_tag_accesses: 0,
-                precise_data_accesses: 0,
-                dopp: *d.stats(),
-                comp: CompStats::default(),
-                lookups: d.stats().lookups(),
-                hits: d.stats().hits,
-            },
-            Llc::Compressed(c) => LlcCounters {
-                precise_tag_accesses: 0,
-                precise_data_accesses: 0,
-                dopp: DoppStats::default(),
-                comp: *c.stats(),
-                lookups: c.stats().accesses(),
-                hits: c.stats().hits,
-            },
-        }
+        let mut counters = LlcCounters::default();
+        self.arrays().for_each(|a| a.add_counters(&mut counters));
+        counters
     }
 
     /// Snapshot the LLC-resident blocks as `(addr, data)` pairs —
     /// the raw material for the similarity analyses (Figs. 2, 7, 8).
     ///
-    /// For Doppelgänger organizations, each tag contributes the shared
+    /// For Doppelgänger arrays, each tag contributes the shared
     /// representative it currently reads as.
     pub fn resident_blocks(&self) -> Vec<(BlockAddr, BlockData)> {
-        match self {
-            Llc::Baseline(c) => c.iter_blocks().map(|(a, _, d)| (a, *d)).collect(),
-            Llc::Split { precise, doppel } => precise
-                .iter_blocks()
-                .map(|(a, _, d)| (a, *d))
-                .chain(doppel.iter_blocks().map(|(a, _, _, d)| (a, *d)))
-                .collect(),
-            Llc::Unified(d) => d.iter_blocks().map(|(a, _, _, d)| (a, *d)).collect(),
-            Llc::Compressed(c) => c.iter_blocks().map(|(a, _, d)| (a, *d)).collect(),
-        }
+        let mut out = Vec::new();
+        self.arrays().for_each(|a| a.for_each_block(&mut |addr, data| out.push((addr, *data))));
+        out
     }
 
     /// Current tag-sharing factor of the Doppelgänger arrays (resident
-    /// tags per data entry; 1.0 means no sharing, 0.0 for the baseline
-    /// or an empty cache). The paper reports a 4.4 average (§3.5).
+    /// tags per data entry; 1.0 means no sharing, 0.0 without
+    /// Doppelgänger arrays or for an empty cache). The paper reports a
+    /// 4.4 average (§3.5).
     pub fn sharing_factor(&self) -> f64 {
-        match self {
-            Llc::Baseline(_) | Llc::Compressed(_) => 0.0,
-            Llc::Split { doppel, .. } => doppel.avg_tags_per_data(),
-            Llc::Unified(d) => d.avg_tags_per_data(),
-        }
+        self.arrays().find_map(|a| a.sharing_factor()).unwrap_or(0.0)
     }
 
-    /// Distribution of conventional-partition set occupancy at fill
-    /// time (the baseline cache, the precise half of the split design,
-    /// or — in data segments — the compressed array; empty for
+    /// Distribution of set occupancy at fill time in the arrays that
+    /// record it (conventional and compressed; empty for
     /// uniDoppelgänger and unprofiled runs).
     pub fn occupancy_hist(&self) -> Hist64 {
-        match self {
-            Llc::Baseline(c) => c.occupancy_hist().clone(),
-            Llc::Split { precise, .. } => precise.occupancy_hist().clone(),
-            Llc::Unified(_) => Hist64::new(),
-            Llc::Compressed(c) => c.occupancy_hist().clone(),
-        }
+        let mut hist = Hist64::new();
+        self.arrays().filter_map(|a| a.occupancy_hist()).for_each(|h| hist.merge(h));
+        hist
     }
 
     /// Distribution of Doppelgänger sharing-list length at shared-insert
-    /// time (empty for the baseline and unprofiled runs).
+    /// time (empty without Doppelgänger arrays and for unprofiled runs).
     pub fn chain_depth_hist(&self) -> Hist64 {
-        match self {
-            Llc::Baseline(_) | Llc::Compressed(_) => Hist64::new(),
-            Llc::Split { doppel, .. } => doppel.chain_depth_hist().clone(),
-            Llc::Unified(d) => d.chain_depth_hist().clone(),
-        }
+        let mut hist = Hist64::new();
+        self.arrays().filter_map(|a| a.chain_depth_hist()).for_each(|h| hist.merge(h));
+        hist
     }
 
     /// Reset activity statistics (cache contents untouched).
     pub fn reset_stats(&mut self) {
-        match self {
-            Llc::Baseline(c) => c.reset_stats(),
-            Llc::Split { precise, doppel } => {
-                precise.reset_stats();
-                doppel.reset_stats();
-            }
-            Llc::Unified(d) => d.reset_stats(),
-            Llc::Compressed(c) => c.reset_stats(),
-        }
+        self.arrays_mut().for_each(|a| a.reset_stats());
     }
 
     /// Write every dirty block back to `dram`, clearing dirty bits.
     pub fn flush_dirty(&mut self, dram: &mut MemoryImage) {
-        fn flush_conventional(cache: &mut ConventionalCache, dram: &mut MemoryImage) {
-            let dirty: Vec<(dg_mem::BlockAddr, BlockData)> = cache
-                .iter_blocks()
-                .filter(|(_, d, _)| *d)
-                .map(|(a, _, data)| (a, *data))
-                .collect();
-            for (a, data) in dirty {
-                dram.set_block(a, data);
-                cache.clear_dirty(a);
-            }
-        }
-        match self {
-            Llc::Baseline(c) => flush_conventional(c, dram),
-            Llc::Split { precise, doppel } => {
-                flush_conventional(precise, dram);
-                doppel.flush_dirty(|a, data| dram.set_block(a, data));
-            }
-            Llc::Unified(d) => d.flush_dirty(|a, data| dram.set_block(a, data)),
-            Llc::Compressed(c) => {
-                let dirty: Vec<(BlockAddr, BlockData)> = c
-                    .iter_blocks()
-                    .filter(|(_, d, _)| *d)
-                    .map(|(a, _, data)| (a, *data))
-                    .collect();
-                for (a, data) in dirty {
-                    dram.set_block(a, data);
-                    c.clear_dirty(a);
-                }
-            }
-        }
-    }
-
-    /// Invalidate every resident block, leaving the LLC cold.
-    ///
-    /// Callers must write dirty data back first ([`Self::flush_dirty`])
-    /// — contents are discarded, not flushed. Statistics are untouched.
-    /// Used by the sampled-simulation runner when it fast-forwards over
-    /// a skipped region: the functional image advances past the cached
-    /// copies, so keeping them would serve stale data after the skip.
-    pub fn clear_contents(&mut self) {
-        fn clear_conventional(cache: &mut ConventionalCache) {
-            let resident: Vec<BlockAddr> = cache.iter_blocks().map(|(a, _, _)| a).collect();
-            for a in resident {
-                cache.invalidate(a);
-            }
-        }
-        fn clear_doppel(doppel: &mut DoppelgangerCache) {
-            let resident: Vec<BlockAddr> = doppel.iter_blocks().map(|(a, _, _, _)| a).collect();
-            for a in resident {
-                doppel.invalidate(a);
-            }
-        }
-        match self {
-            Llc::Baseline(c) => clear_conventional(c),
-            Llc::Split { precise, doppel } => {
-                clear_conventional(precise);
-                clear_doppel(doppel);
-            }
-            Llc::Unified(d) => clear_doppel(d),
-            Llc::Compressed(c) => {
-                let resident: Vec<BlockAddr> = c.iter_blocks().map(|(a, _, _)| a).collect();
-                for a in resident {
-                    c.invalidate(a);
-                }
-            }
-        }
+        self.arrays_mut().for_each(|a| a.flush_dirty(&mut |addr, data| dram.set_block(addr, data)));
     }
 
     /// Invalidate one block if resident, discarding its contents.
     /// Callers must ensure the block is clean (or its data is dead) —
-    /// nothing is written back. Statistics are untouched. This is the
-    /// functional-warming path of the sampled runner: a store executed
-    /// functionally during a skipped region updates DRAM behind the
-    /// caches, so any retained copy of that block must go.
+    /// nothing is written back. This is the functional-warming path of
+    /// the sampled runner: a store executed functionally during a
+    /// skipped region updates DRAM behind the caches, so any retained
+    /// copy of that block must go.
+    ///
+    /// The holding array counts the invalidation: a conventional array
+    /// in `CacheStats::invalidations` (not part of [`LlcCounters`]), a
+    /// Doppelgänger array in `dopp.tag_evictions` (and
+    /// `dopp.data_evictions` when the tag was its entry's last), a
+    /// compressed array in `comp.invalidations`. Sampled estimates are
+    /// unaffected: functional stores run only in skipped regions, and
+    /// the sampled runner builds its LLC counters from differences
+    /// around the measured windows.
     pub fn invalidate_block(&mut self, addr: BlockAddr) {
-        match self {
-            Llc::Baseline(c) => {
-                c.invalidate(addr);
-            }
-            Llc::Split { precise, doppel } => {
-                precise.invalidate(addr);
-                doppel.invalidate(addr);
-            }
-            Llc::Unified(d) => {
-                d.invalidate(addr);
-            }
-            Llc::Compressed(c) => {
-                c.invalidate(addr);
-            }
-        }
+        self.arrays_mut().for_each(|a| a.invalidate(addr));
     }
 
     /// Visit every resident *approximate* block together with the
     /// shared representative the cache would serve for it. Precise
-    /// entries (and the whole baseline cache) are skipped — after a
-    /// flush their contents match DRAM, so only the Doppelgänger
+    /// entries (and arrays that never approximate) are skipped — after
+    /// a flush their contents match DRAM, so only the Doppelgänger
     /// entries can diverge from memory. Observation-only: no statistics
     /// or LRU updates. Used by the sampled runner's skip-region
     /// approximation overlay to snapshot corruption state.
     pub fn for_each_approx_resident(&self, mut f: impl FnMut(BlockAddr, BlockData)) {
-        let doppel = match self {
-            // BΔI is exact, so a flushed compressed cache matches DRAM
-            // just like the baseline: nothing can diverge.
-            Llc::Baseline(_) | Llc::Compressed(_) => return,
-            Llc::Split { doppel, .. } => doppel,
-            Llc::Unified(d) => d,
-        };
-        for (addr, _dirty, precise, data) in doppel.iter_blocks() {
-            if !precise {
-                f(addr, *data);
-            }
-        }
+        self.arrays().for_each(|a| a.for_each_approx_block(&mut |addr, data| f(addr, *data)));
     }
 
     /// Visit the address of every resident block — precise and
-    /// approximate, across all partitions. Observation-only. Used by
-    /// the sampled runner to build the skip-epoch residency filter that
+    /// approximate, across all arrays. Observation-only. Used by the
+    /// sampled runner to build the skip-epoch residency filter that
     /// lets functional stores to absent blocks bypass the invalidation
     /// probes entirely.
     pub fn for_each_resident(&self, mut f: impl FnMut(BlockAddr)) {
-        match self {
-            Llc::Baseline(c) => {
-                for (addr, _, _) in c.iter_blocks() {
-                    f(addr);
-                }
-            }
-            Llc::Split { precise, doppel } => {
-                for (addr, _, _) in precise.iter_blocks() {
-                    f(addr);
-                }
-                for (addr, _, _, _) in doppel.iter_blocks() {
-                    f(addr);
-                }
-            }
-            Llc::Unified(d) => {
-                for (addr, _, _, _) in d.iter_blocks() {
-                    f(addr);
-                }
-            }
-            Llc::Compressed(c) => {
-                for (addr, _, _) in c.iter_blocks() {
-                    f(addr);
-                }
-            }
-        }
+        self.arrays().for_each(|a| a.for_each_block(&mut |addr, _| f(addr)));
     }
 
-    /// Verify the Doppelgänger or compressed-array structural
-    /// invariants (no-op for the baseline). Panics on violation; used
-    /// by integration and property tests.
+    /// Verify every array's structural invariants. Panics on violation;
+    /// used by integration and property tests.
     pub fn check_invariants(&self) {
-        match self {
-            Llc::Baseline(_) => {}
-            Llc::Split { doppel, .. } => doppel.check_invariants(),
-            Llc::Unified(d) => d.check_invariants(),
-            Llc::Compressed(c) => c.check_invariants(),
-        }
+        self.arrays().for_each(|a| a.check_invariants());
     }
-
-    // ------------------------------------------------------------------
-
-    fn conventional_read(
-        cache: &mut ConventionalCache,
-        addr: BlockAddr,
-        dram: &mut MemoryImage,
-        displaced: &mut Vec<DisplacedBlock>,
-    ) -> LlcAccess {
-        if let Some(data) = cache.read(addr) {
-            return LlcAccess { hit: true, data, fetched_from_memory: false };
-        }
-        let data = dram.fetch_block(addr);
-        Self::conventional_fill(cache, addr, &data, displaced);
-        LlcAccess { hit: false, data, fetched_from_memory: true }
-    }
-
-    fn conventional_writeback(
-        cache: &mut ConventionalCache,
-        addr: BlockAddr,
-        data: BlockData,
-        displaced: &mut Vec<DisplacedBlock>,
-    ) -> LlcAccess {
-        if cache.write(addr, data) {
-            return LlcAccess { hit: true, data, fetched_from_memory: false };
-        }
-        // Non-inclusive corner (the block was displaced concurrently):
-        // allocate it dirty.
-        Self::conventional_fill(cache, addr, &data, displaced);
-        cache.mark_dirty(addr);
-        LlcAccess { hit: false, data, fetched_from_memory: false }
-    }
-
-    /// Fill `addr` into a conventional partition, reporting its victim.
-    /// The victim's bytes are copied out only when it is dirty, the one
-    /// case in which the hierarchy writes them back.
-    fn conventional_fill(
-        cache: &mut ConventionalCache,
-        addr: BlockAddr,
-        data: &BlockData,
-        displaced: &mut Vec<DisplacedBlock>,
-    ) {
-        let mut victim = BlockData::zeroed();
-        if let Some((vaddr, dirty)) = cache.fill_ref_lazy(addr, data, &mut victim) {
-            displaced.push(DisplacedBlock { addr: vaddr, dirty, data: victim });
-        }
-    }
-
-    fn compressed_read(
-        cache: &mut CompressedCache,
-        addr: BlockAddr,
-        dram: &mut MemoryImage,
-        displaced: &mut Vec<DisplacedBlock>,
-    ) -> LlcAccess {
-        if let Some(data) = cache.read(addr) {
-            return LlcAccess { hit: true, data, fetched_from_memory: false };
-        }
-        let data = dram.fetch_block(addr);
-        cache.fill(addr, &data, false, &mut emit_evicted(displaced));
-        LlcAccess { hit: false, data, fetched_from_memory: true }
-    }
-
-    fn compressed_writeback(
-        cache: &mut CompressedCache,
-        addr: BlockAddr,
-        data: BlockData,
-        displaced: &mut Vec<DisplacedBlock>,
-    ) -> LlcAccess {
-        if cache.write(addr, &data, &mut emit_evicted(displaced)) {
-            return LlcAccess { hit: true, data, fetched_from_memory: false };
-        }
-        // Non-inclusive corner (the block was displaced concurrently):
-        // allocate it dirty.
-        cache.fill(addr, &data, true, &mut emit_evicted(displaced));
-        LlcAccess { hit: false, data, fetched_from_memory: false }
-    }
-
-    fn doppel_read(
-        doppel: &mut DoppelgangerCache,
-        addr: BlockAddr,
-        region: Option<&ApproxRegion>,
-        dram: &mut MemoryImage,
-        displaced: &mut Vec<DisplacedBlock>,
-    ) -> LlcAccess {
-        if let Some(data) = doppel.read(addr) {
-            return LlcAccess { hit: true, data, fetched_from_memory: false };
-        }
-        let data = dram.fetch_block(addr);
-        let mut emit = emit_into(displaced);
-        match region {
-            Some(r) => {
-                doppel.insert_approx_with(addr, data, r, &mut emit);
-            }
-            None => doppel.insert_precise_with(addr, data, &mut emit),
-        }
-        LlcAccess { hit: false, data, fetched_from_memory: true }
-    }
-
-    fn doppel_writeback(
-        doppel: &mut DoppelgangerCache,
-        addr: BlockAddr,
-        data: BlockData,
-        region: Option<&ApproxRegion>,
-        displaced: &mut Vec<DisplacedBlock>,
-    ) -> LlcAccess {
-        let mut emit = emit_into(displaced);
-        match doppel.write_with(addr, data, region, &mut emit) {
-            WriteStatus::NotResident => {
-                // Allocate (non-inclusive corner), then mark dirty.
-                match region {
-                    Some(r) => {
-                        doppel.insert_approx_with(addr, data, r, &mut emit);
-                    }
-                    None => doppel.insert_precise_with(addr, data, &mut emit),
-                }
-                doppel.mark_dirty(addr);
-                LlcAccess { hit: false, data, fetched_from_memory: false }
-            }
-            WriteStatus::SameMap | WriteStatus::PreciseUpdated => {
-                LlcAccess { hit: true, data, fetched_from_memory: false }
-            }
-            WriteStatus::Moved { .. } => LlcAccess { hit: true, data, fetched_from_memory: false },
-        }
-    }
-}
-
-/// Adapt a `DisplacedBlock` scratch buffer into a `Displaced` sink for
-/// the Doppelgänger cache's `*_with` entry points.
-fn emit_into(out: &mut Vec<DisplacedBlock>) -> impl FnMut(Displaced) + '_ {
-    |d: Displaced| out.push(DisplacedBlock { addr: d.addr, dirty: d.dirty, data: d.data })
-}
-
-/// Adapt the same scratch buffer into the compressed cache's eviction
-/// sink.
-fn emit_evicted(out: &mut Vec<DisplacedBlock>) -> impl FnMut(Evicted) + '_ {
-    |e: Evicted| out.push(DisplacedBlock { addr: e.addr, dirty: e.dirty, data: e.data })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LlcKind;
     use dg_mem::{Addr, ElemType};
 
     fn region() -> ApproxRegion {
@@ -700,15 +373,11 @@ mod tests {
         let r = region();
         read(&mut llc, BlockAddr(1), Some(&r), &mut dram); // approximate
         read(&mut llc, BlockAddr(2), None, &mut dram); // precise
-        match &llc {
-            Llc::Split { precise, doppel } => {
-                assert!(doppel.contains(BlockAddr(1)));
-                assert!(!doppel.contains(BlockAddr(2)));
-                assert!(precise.contains(BlockAddr(2)));
-                assert!(!precise.contains(BlockAddr(1)));
-            }
-            _ => unreachable!(),
-        }
+        let approx = llc.approx.as_ref().expect("split has an approximate array");
+        assert!(approx.contains(BlockAddr(1)));
+        assert!(!approx.contains(BlockAddr(2)));
+        assert!(llc.main.contains(BlockAddr(2)));
+        assert!(!llc.main.contains(BlockAddr(1)));
         assert!(llc.contains(BlockAddr(1)) && llc.contains(BlockAddr(2)));
     }
 
@@ -807,6 +476,101 @@ mod tests {
         assert!(out.hit);
         llc.flush_dirty(&mut dram);
         assert_eq!(dram.fetch_block(BlockAddr(1)), blk(9.0));
+    }
+
+    /// The operations only the sampled runner uses — `for_each_resident`,
+    /// `for_each_approx_resident` and `invalidate_block` — never meet
+    /// the lockstep oracle, so they are held to `resident_blocks` and to
+    /// the documented counter effects here, for every organization.
+    #[test]
+    fn sampled_runner_operations_agree_with_resident_blocks() {
+        let unified = doppelganger::DoppelgangerConfig {
+            tag_entries: 512,
+            tag_ways: 16,
+            data_entries: 256,
+            data_ways: 16,
+            map_space: doppelganger::MapSpace::paper_default(),
+            unified: true,
+        };
+        // (organization, whether it has Doppelgänger arrays, the
+        // counters an invalidation may move)
+        let orgs: [(SystemConfig, bool, &[&str]); 4] = [
+            (SystemConfig::tiny(LlcKind::Baseline), false, &[]),
+            (SystemConfig::tiny_split(), true, &["dopp.tag_evictions", "dopp.data_evictions"]),
+            (
+                SystemConfig::tiny(LlcKind::Unified(unified)),
+                true,
+                &["dopp.tag_evictions", "dopp.data_evictions"],
+            ),
+            (SystemConfig::tiny_compressed(), false, &["comp.invalidations"]),
+        ];
+        let r = region();
+        // Even blocks are annotated, odd ones precise.
+        let region_of = |a: u64| (a % 2 == 0).then_some(&r);
+        for (cfg, approximates, moved) in orgs {
+            let label = format!("{:?}", cfg.llc);
+            let mut dram = MemoryImage::new();
+            for a in 0..4096u64 {
+                dram.set_block(BlockAddr(a), blk((a % 7) as f64));
+            }
+            let mut llc = Llc::new(&cfg);
+            // Enough distinct blocks to force evictions; writebacks to a
+            // mix of resident and non-resident blocks.
+            for i in 0..3000u64 {
+                let a = (i * 37) % 2048;
+                llc.read_into(BlockAddr(a), region_of(a), &mut dram, &mut Vec::new());
+                if i % 3 == 0 {
+                    let w = (i * 11) % 2048;
+                    llc.writeback_into(
+                        BlockAddr(w),
+                        blk(i as f64 % 5.0),
+                        region_of(w),
+                        &mut Vec::new(),
+                    );
+                }
+            }
+            llc.check_invariants();
+
+            let resident = llc.resident_blocks();
+            assert!(resident.len() > 16, "{label}: too few resident blocks");
+            let mut visited = Vec::new();
+            llc.for_each_resident(|a| visited.push(a));
+            let addrs: Vec<BlockAddr> = resident.iter().map(|&(a, _)| a).collect();
+            assert_eq!(visited, addrs, "{label}: for_each_resident");
+
+            let mut approx = Vec::new();
+            llc.for_each_approx_resident(|a, d| approx.push((a, d)));
+            let expected: Vec<(BlockAddr, BlockData)> = if approximates {
+                resident.iter().copied().filter(|&(a, _)| region_of(a.0).is_some()).collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(approx, expected, "{label}: for_each_approx_resident");
+
+            // Invalidate one approximate-or-precise block from the middle.
+            let victim = addrs[addrs.len() / 2];
+            let before = llc.counters();
+            llc.invalidate_block(victim);
+            let after = llc.counters();
+            let remaining: Vec<BlockAddr> = llc.resident_blocks().iter().map(|&(a, _)| a).collect();
+            let mut expected = addrs.clone();
+            expected.retain(|&a| a != victim);
+            assert_eq!(remaining, expected, "{label}: invalidate_block removes exactly one block");
+            for ((name, b), (_, a)) in before.metrics().into_iter().zip(after.metrics()) {
+                if a != b {
+                    assert!(moved.contains(&name), "{label}: invalidation moved {name} {b} -> {a}");
+                }
+            }
+            if let Some(&first) = moved.first() {
+                let get =
+                    |c: &LlcCounters| c.metrics().into_iter().find(|(n, _)| *n == first).unwrap().1;
+                assert_eq!(get(&after), get(&before) + 1, "{label}: {first}");
+            }
+            // A non-resident block is a no-op.
+            llc.invalidate_block(victim);
+            assert_eq!(llc.counters(), after, "{label}: second invalidation");
+            llc.check_invariants();
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! values read from the LLC feed back into the computation — the same
 //! methodology the paper uses to measure application output error.
 
-use crate::{DisplacedBlock, Llc, LlcCounters, SystemConfig};
-use dg_cache::{CacheGeometry, CacheStats, ConventionalCache, Sharers, WritebackBuffer};
+use crate::{Llc, LlcCounters, SystemConfig};
+use dg_cache::{CacheGeometry, CacheStats, ConventionalCache, Evicted, Sharers, WritebackBuffer};
 use dg_mem::{
     load_into, store_from, Addr, AnnotationTable, ApproxRegion, BlockAddr, BlockData, Memory,
     MemoryImage,
@@ -33,7 +33,7 @@ pub struct System {
     wb: WritebackBuffer,
     // Reusable scratch for LLC displacement reporting — avoids a Vec
     // allocation per LLC access (always drained empty between uses).
-    displaced_buf: Vec<DisplacedBlock>,
+    displaced_buf: Vec<Evicted>,
     // Scratch block for lazy-victim fills: holds a dirty victim's data
     // between the fill and its writeback, so clean victims (the common
     // case) never have their 64 bytes copied out of the array.
@@ -567,18 +567,6 @@ impl System {
         s
     }
 
-    /// Distribution of per-access latency in cycles (empty unless the
-    /// run was profiled at `Level::Metrics` or above).
-    pub fn access_latency_hist(&self) -> &Hist64 {
-        &self.access_latency
-    }
-
-    /// Distribution of writeback-buffer depth at drain time (empty
-    /// unless the run was profiled at `Level::Metrics` or above).
-    pub fn wb_residency_hist(&self) -> &Hist64 {
-        &self.wb_residency
-    }
-
     /// Snapshot every metric this system exposes into a [`Registry`]:
     /// the scalar counters, the per-level [`Snapshot`](dg_obs::Snapshot)
     /// structs, and — when the run was profiled — the four hot-path
@@ -692,35 +680,6 @@ impl System {
             }
         }
         self.llc.flush_dirty(&mut self.dram);
-    }
-
-    /// Flush and then *invalidate* the whole hierarchy: every dirty
-    /// block is written back, then all cache contents, the coherence
-    /// directory, and private-cache copies are dropped, leaving the
-    /// machine architecturally cold with an up-to-date DRAM image.
-    ///
-    /// This is the sampled runner's skip transition ([`flush`] alone is
-    /// wrong there: the functional fast-forward updates DRAM behind the
-    /// caches' backs, so any retained copy would serve stale data when
-    /// detailed simulation resumes). Statistics are untouched.
-    ///
-    /// [`flush`]: Self::flush
-    pub fn drop_cache_contents(&mut self) {
-        self.flush();
-        fn clear(cache: &mut dg_cache::ConventionalCache) {
-            let resident: Vec<BlockAddr> = cache.iter_blocks().map(|(a, _, _)| a).collect();
-            for a in resident {
-                cache.invalidate(a);
-            }
-        }
-        for c in &mut self.l1 {
-            clear(c);
-        }
-        for c in &mut self.l2 {
-            clear(c);
-        }
-        self.llc.clear_contents();
-        self.directory.clear();
     }
 
     /// Functional load straight from the DRAM image: no caches, no
@@ -861,8 +820,13 @@ impl System {
 
     /// Drop one block from every cache and the directory ahead of a
     /// functional store to it, without a writeback (the caller is
-    /// overwriting its memory). No statistics are attributed — this
-    /// models warm-state maintenance, not simulated coherence traffic.
+    /// overwriting its memory). It models warm-state maintenance, not
+    /// simulated coherence traffic, yet the caches still count it: the
+    /// L1s and L2s in `CacheStats::invalidations`, and the LLC as
+    /// [`Llc::invalidate_block`] says. Sampled estimates are unaffected:
+    /// functional stores run only in skipped regions, and the sampled
+    /// runner rebuilds its counters from differences around the
+    /// measured windows.
     #[inline(never)]
     fn functional_invalidate(&mut self, block: BlockAddr) {
         if self.approx_overlay && !self.skip_resident.remove(&block) {
@@ -892,14 +856,6 @@ impl System {
 pub struct CoreMemory<'a> {
     sys: &'a mut System,
     core: usize,
-}
-
-impl CoreMemory<'_> {
-    /// Switch which core subsequent accesses are attributed to.
-    pub fn set_core(&mut self, core: usize) {
-        assert!(core < self.sys.cfg.cores);
-        self.core = core;
-    }
 }
 
 impl CoreMemory<'_> {

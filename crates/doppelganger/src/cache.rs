@@ -1,10 +1,10 @@
 //! The Doppelgänger cache proper (paper §3).
 
 use crate::{
-    DataEntry, DataId, DataKind, DataPolicy, Displaced, DoppStats, DoppelgangerConfig, MapValue,
-    TagEntry, TagId, TagKind,
+    DataEntry, DataId, DataKind, DataPolicy, DoppStats, DoppelgangerConfig, MapValue, TagEntry,
+    TagId, TagKind,
 };
-use dg_cache::{CacheGeometry, Sharers, TagArray};
+use dg_cache::{CacheGeometry, Evicted, TagArray};
 use dg_mem::{ApproxRegion, BlockAddr, BlockData};
 use dg_obs::{enabled, Hist64, Level};
 
@@ -18,7 +18,7 @@ pub struct InsertOutcome {
     /// whole tag list of an evicted data entry). The hierarchy issues
     /// back-invalidations for their sharers and writebacks for dirty
     /// ones.
-    pub displaced: Vec<Displaced>,
+    pub displaced: Vec<Evicted>,
 }
 
 /// Outcome of a write / L2 writeback (§3.4).
@@ -36,7 +36,7 @@ pub enum WriteOutcome {
         /// Whether the tag joined an existing entry (vs. allocating).
         joined_existing: bool,
         /// Tags invalidated to make room for a new data entry.
-        displaced: Vec<Displaced>,
+        displaced: Vec<Evicted>,
     },
     /// uniDoppelgänger precise block updated in place.
     PreciseUpdated,
@@ -321,7 +321,7 @@ impl DoppelgangerCache {
     /// displaced block to `emit`. The list is walked inline — `next` is
     /// read off each tag entry as it is invalidated — so no member
     /// vector is materialised on this per-access path.
-    fn evict_data_entry(&mut self, did: DataId, emit: &mut dyn FnMut(Displaced)) {
+    fn evict_data_entry(&mut self, did: DataId, emit: &mut dyn FnMut(Evicted)) {
         let rep = self.data_at(did).data;
         let mut cur = Some(self.data_at(did).head);
         let mut walked = 0usize;
@@ -332,7 +332,7 @@ impl DoppelgangerCache {
                 .invalidate(id.set as usize, id.way as usize)
                 .expect("list member is valid");
             cur = t.next;
-            emit(Displaced { addr, dirty: t.dirty, sharers: t.sharers, data: rep });
+            emit(Evicted { addr, dirty: t.dirty, data: rep });
             self.stats.tag_evictions += 1;
             self.stats.back_invalidations += 1;
             walked += 1;
@@ -344,7 +344,7 @@ impl DoppelgangerCache {
 
     /// Evict a single tag entry (tag-set replacement). The data entry is
     /// also evicted iff this was its only tag.
-    fn evict_tag(&mut self, id: TagId) -> Displaced {
+    fn evict_tag(&mut self, id: TagId) -> Evicted {
         let addr = self.block_addr_of_tag(id);
         let (did, now_empty) = self.unlink(id);
         let rep = self.data_at(did).data;
@@ -357,7 +357,7 @@ impl DoppelgangerCache {
             self.data.invalidate(did.set as usize, did.way as usize);
             self.stats.data_evictions += 1;
         }
-        Displaced { addr, dirty: t.dirty, sharers: t.sharers, data: rep }
+        Evicted { addr, dirty: t.dirty, data: rep }
     }
 
     /// Choose the data-array victim way in `set` according to the
@@ -381,7 +381,7 @@ impl DoppelgangerCache {
     }
 
     /// Free a way in `addr`'s tag set, reporting any displaced block.
-    fn make_tag_room(&mut self, addr: BlockAddr) -> (TagId, Option<Displaced>) {
+    fn make_tag_room(&mut self, addr: BlockAddr) -> (TagId, Option<Evicted>) {
         let set = self.tag_geom.set_of(addr);
         let way = self.tags.victim_way(set);
         let id = TagId { set: set as u32, way: way as u32 };
@@ -390,7 +390,7 @@ impl DoppelgangerCache {
     }
 
     /// Free a way in data set `set`, emitting all displaced blocks.
-    fn make_data_room(&mut self, set: usize, emit: &mut dyn FnMut(Displaced)) -> DataId {
+    fn make_data_room(&mut self, set: usize, emit: &mut dyn FnMut(Evicted)) -> DataId {
         let way = self.pick_data_victim(set);
         let id = DataId { set: set as u32, way: way as u32 };
         if self.data.get(set, way).is_some() {
@@ -472,7 +472,7 @@ impl DoppelgangerCache {
         addr: BlockAddr,
         block: BlockData,
         region: &ApproxRegion,
-        emit: &mut dyn FnMut(Displaced),
+        emit: &mut dyn FnMut(Evicted),
     ) -> bool {
         // Debug-only: the resident check would re-scan the tag set on
         // every insert, and the hierarchy inserts only after a miss.
@@ -544,7 +544,7 @@ impl DoppelgangerCache {
         &mut self,
         addr: BlockAddr,
         block: BlockData,
-        emit: &mut dyn FnMut(Displaced),
+        emit: &mut dyn FnMut(Evicted),
     ) {
         assert!(self.cfg.unified, "precise blocks require a uniDoppelganger configuration");
         debug_assert!(!self.contains(addr), "insert of a resident block");
@@ -598,7 +598,7 @@ impl DoppelgangerCache {
         addr: BlockAddr,
         block: BlockData,
         region: Option<&ApproxRegion>,
-        emit: &mut dyn FnMut(Displaced),
+        emit: &mut dyn FnMut(Evicted),
     ) -> WriteStatus {
         self.stats.tag_array_accesses += 1;
         let Some(tid) = self.locate_tag(addr) else {
@@ -680,19 +680,9 @@ impl DoppelgangerCache {
 
     /// Invalidate `addr` (coherence or inclusion), returning its final
     /// state. The data entry is freed iff this was its last tag.
-    pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Displaced> {
+    pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Evicted> {
         let tid = self.locate_tag(addr)?;
         Some(self.evict_tag(tid))
-    }
-
-    /// Directory sharers of a resident block.
-    pub fn sharers(&self, addr: BlockAddr) -> Option<&Sharers> {
-        self.locate_tag(addr).map(|tid| &self.tag_at(tid).sharers)
-    }
-
-    /// Mutable directory sharers of a resident block.
-    pub fn sharers_mut(&mut self, addr: BlockAddr) -> Option<&mut Sharers> {
-        self.locate_tag(addr).map(|tid| &mut self.tag_at_mut(tid).sharers)
     }
 
     /// Mark a resident block dirty without changing its data (used for
@@ -724,28 +714,6 @@ impl DoppelgangerCache {
         } else {
             self.resident_tags() as f64 / self.resident_data() as f64
         }
-    }
-
-    /// Per-set occupancy of the MTag/data array — diagnoses map-space
-    /// skew (clustered value distributions overload a few sets, the
-    /// §3.7 "set conflicts and underutilization" hazard).
-    pub fn mtag_set_occupancy(&self) -> Vec<usize> {
-        (0..self.data_geom.sets()).map(|s| self.data.occupancy(s)).collect()
-    }
-
-    /// Histogram of sharing-list lengths: `histogram[k]` = number of
-    /// data entries shared by exactly `k` tags (index 0 unused).
-    pub fn sharing_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; 2];
-        for (set, way, _) in self.data.iter() {
-            let did = DataId { set: set as u32, way: way as u32 };
-            let len = self.list_len(did);
-            if hist.len() <= len {
-                hist.resize(len + 1, 0);
-            }
-            hist[len] += 1;
-        }
-        hist
     }
 
     /// Visit every dirty tag as `(addr, representative_data)`, clearing
@@ -1127,23 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn sharers_tracked_per_tag() {
-        let mut c = DoppelgangerCache::new(tiny_cfg());
-        let r = region();
-        c.insert_approx(BlockAddr(1), blk(10.0), &r);
-        c.insert_approx(BlockAddr(2), blk(10.0), &r);
-        c.sharers_mut(BlockAddr(1)).unwrap().add(0);
-        c.sharers_mut(BlockAddr(2)).unwrap().set_owner(3);
-        assert!(c.sharers(BlockAddr(1)).unwrap().contains(0));
-        assert_eq!(c.sharers(BlockAddr(2)).unwrap().owner(), Some(3));
-        // Per-tag state: block 1 unaffected by block 2's ownership.
-        assert_eq!(c.sharers(BlockAddr(1)).unwrap().owner(), None);
-        // Displacement reports the sharers for back-invalidation.
-        let d = c.invalidate(BlockAddr(2)).unwrap();
-        assert_eq!(d.sharers.owner(), Some(3));
-    }
-
-    #[test]
     fn stats_count_map_generations() {
         let mut c = DoppelgangerCache::new(tiny_cfg());
         let r = region();
@@ -1215,32 +1166,6 @@ mod tests {
         // LRU victimizes the shared (older) entry, losing three tags.
         assert_eq!(o.displaced.len(), 3);
         c.check_invariants();
-    }
-
-    #[test]
-    fn mtag_occupancy_sums_to_resident_data() {
-        let mut c = DoppelgangerCache::new(tiny_cfg());
-        let r = region();
-        for i in 0..6 {
-            c.insert_approx(BlockAddr(i), blk(i as f64 * 13.0), &r);
-        }
-        let occ = c.mtag_set_occupancy();
-        assert_eq!(occ.iter().sum::<usize>(), c.resident_data());
-        assert_eq!(occ.len(), c.config().data_geometry().sets());
-    }
-
-    #[test]
-    fn sharing_histogram_counts_lists() {
-        let mut c = DoppelgangerCache::new(tiny_cfg());
-        let r = region();
-        for i in 0..3 {
-            c.insert_approx(BlockAddr(i), blk(10.0), &r); // one 3-list
-        }
-        c.insert_approx(BlockAddr(10), blk(90.0), &r); // one singleton
-        let h = c.sharing_histogram();
-        assert_eq!(h[1], 1);
-        assert_eq!(h[3], 1);
-        assert_eq!(h.iter().sum::<usize>(), c.resident_data());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Tag-array and data-array entry types (paper Fig. 4).
 
 use crate::MapValue;
-use dg_cache::Sharers;
 use dg_mem::{BlockAddr, BlockData};
 use std::fmt;
 
@@ -38,17 +37,16 @@ pub enum TagKind {
 
 /// One entry of the Doppelgänger tag array (Fig. 4, left).
 ///
-/// Holds the address tag, the line's state (dirty bit + directory
-/// sharers), the two tag pointers forming the doubly-linked list of tags
-/// that share a data entry, and the map value.
+/// Holds the address tag, the dirty bit, the two tag pointers forming
+/// the doubly-linked list of tags that share a data entry, and the map
+/// value. Coherence state is not here: the hierarchy keeps it in its
+/// own directory.
 #[derive(Clone, Copy, Debug)]
 pub struct TagEntry {
     /// Address tag within the tag array's geometry.
     pub tag: u64,
     /// Dirty bit — maintained **per tag**, not per data entry (§3.4).
     pub dirty: bool,
-    /// Directory state for this block (per-tag coherence, §3.6).
-    pub sharers: Sharers,
     /// Approximate (map) or precise (direct pointer).
     pub kind: TagKind,
     /// Previous tag sharing the same data entry (`None` = list head).
@@ -63,7 +61,6 @@ impl TagEntry {
         TagEntry {
             tag,
             dirty: false,
-            sharers: Sharers::new(),
             kind: TagKind::Approx(map),
             prev: None,
             next: None,
@@ -75,7 +72,6 @@ impl TagEntry {
         TagEntry {
             tag,
             dirty: false,
-            sharers: Sharers::new(),
             kind: TagKind::Precise(data),
             prev: None,
             next: None,
@@ -130,23 +126,6 @@ impl fmt::Debug for DataEntry {
     }
 }
 
-/// A block displaced from the Doppelgänger cache: one per invalidated
-/// tag. The caller (the hierarchy model) issues back-invalidations to
-/// private caches and, for dirty tags, queues a writeback of `data` —
-/// the representative block — to `addr` (§3.5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Displaced {
-    /// Address of the invalidated tag.
-    pub addr: BlockAddr,
-    /// Whether the tag was dirty (requires a writeback).
-    pub dirty: bool,
-    /// Directory sharers needing back-invalidation.
-    pub sharers: Sharers,
-    /// The data to write back (the shared representative for
-    /// approximate tags; the exact block for precise tags).
-    pub data: BlockData,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +137,6 @@ mod tests {
         assert!(!t.dirty);
         assert!(!t.is_precise());
         assert!(t.prev.is_none() && t.next.is_none());
-        assert!(t.sharers.is_empty());
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod stats;
 
 pub use cache::{DoppelgangerCache, InsertOutcome, WriteOutcome, WriteStatus};
 pub use config::DoppelgangerConfig;
-pub use entry::{DataEntry, DataId, DataKind, Displaced, TagEntry, TagId, TagKind};
+pub use entry::{DataEntry, DataId, DataKind, TagEntry, TagId, TagKind};
 pub use geometry::{HardwareCost, StructureCost};
 pub use map::{MapHash, MapSpace, MapValue};
 pub use policy::DataPolicy;

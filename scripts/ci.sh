@@ -6,7 +6,8 @@
 # cargo clippy on the workspace, exit status only +
 # cargo doc with broken intra-doc links denied +
 # benchmark smoke run checked against benchmark/golden/* +
-# hermeticity + differential oracle +
+# hermeticity + the surface ratchet (scripts/surface.sh --check against
+# scripts/surface.baseline) + differential oracle +
 # byte-diff of deterministic exports across worker counts, whose
 # repro_all --small runs end with the paper-claims gate +
 # paper-scale repro_all byte-compared against repro_all_paper.txt +

@@ -3,7 +3,7 @@
 # rustdoc's broken-link check, the benchmark's smoke run against its golden digests, plus a
 # hermeticity check asserting the dependency graph contains only
 # in-repo workspace crates (see README.md, "Hermetic build &
-# determinism").
+# determinism"), and the surface ratchet (scripts/surface.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +56,13 @@ if [ -n "$violations" ]; then
   exit 1
 fi
 echo "ok: dependency graph is workspace-only"
+
+echo "== surface ratchet: scripts/surface.sh --check =="
+# Lines, pub items, binaries, DG_* reads, LlcKind:: sites and LLC
+# organization arms must equal scripts/surface.baseline; a change that
+# moves one regenerates the baseline in the same diff.
+scripts/surface.sh --check
+echo "ok: every surface measure equals scripts/surface.baseline"
 
 echo "== differential oracle: repro_all --small --check =="
 # The primary correctness gate: every suite kernel's trace is replayed
