@@ -1,6 +1,6 @@
 //! Generic set-associative array with replacement bookkeeping.
 
-use crate::{CacheGeometry, Lru, Replacer};
+use crate::{CacheGeometry, Lru};
 
 /// A set-associative array of caller-defined entries.
 ///
@@ -21,10 +21,10 @@ use crate::{CacheGeometry, Lru, Replacer};
 /// assert_eq!(arr.find_keyed(set, 99, |&e| e == 99), Some(way));
 /// ```
 #[derive(Debug)]
-pub struct TagArray<E, R: Replacer = Lru> {
+pub struct TagArray<E> {
     geom: CacheGeometry,
     entries: Vec<Option<E>>,
-    policy: R,
+    policy: Lru,
     /// Valid entries per set, maintained on insert/invalidate so that
     /// victim selection in a full set (the steady state of every hot
     /// cache) skips the scan for an invalid way.
@@ -40,17 +40,10 @@ pub struct TagArray<E, R: Replacer = Lru> {
     keys: Vec<u64>,
 }
 
-impl<E> TagArray<E, Lru> {
-    /// An empty array with LRU replacement (the paper's default).
+impl<E> TagArray<E> {
+    /// An empty array with LRU replacement.
     pub fn new(geom: CacheGeometry) -> Self {
         let policy = Lru::new(geom.sets(), geom.ways());
-        TagArray::with_policy(geom, policy)
-    }
-}
-
-impl<E, R: Replacer> TagArray<E, R> {
-    /// An empty array with an explicit replacement policy.
-    pub fn with_policy(geom: CacheGeometry, policy: R) -> Self {
         let mut entries = Vec::new();
         entries.resize_with(geom.entries(), || None);
         TagArray {

@@ -1,6 +1,6 @@
 //! A conventional write-back, data-carrying cache.
 
-use crate::{CacheGeometry, CacheStats, Lru, Replacer, TagArray};
+use crate::{CacheGeometry, CacheStats, TagArray};
 use dg_mem::{BlockAddr, BlockData};
 use dg_obs::{enabled, Hist64, Level};
 
@@ -54,8 +54,8 @@ pub struct Evicted {
 /// assert!(c.read(addr).is_some());                       // now hits
 /// ```
 #[derive(Debug)]
-pub struct ConventionalCache<R: Replacer = Lru> {
-    array: TagArray<Line, R>,
+pub struct ConventionalCache {
+    array: TagArray<Line>,
     /// Block contents, one slot per `(set, way)` (`set * ways + way`);
     /// a slot is meaningful only while the matching tag entry is valid.
     data: Vec<BlockData>,
@@ -75,17 +75,9 @@ pub struct ConventionalCache<R: Replacer = Lru> {
 impl ConventionalCache {
     /// An empty cache with the given geometry and LRU replacement.
     pub fn new(geom: CacheGeometry) -> Self {
-        ConventionalCache::with_policy(geom, Lru::new(geom.sets(), geom.ways()))
-    }
-}
-
-impl<R: Replacer> ConventionalCache<R> {
-    /// An empty cache with an explicit replacement policy (e.g.
-    /// [`crate::Srrip`] or [`crate::Fifo`]).
-    pub fn with_policy(geom: CacheGeometry, policy: R) -> Self {
         let data = vec![BlockData::zeroed(); geom.entries()];
         ConventionalCache {
-            array: TagArray::with_policy(geom, policy),
+            array: TagArray::new(geom),
             data,
             mru: vec![0; geom.sets()],
             stats: CacheStats::default(),
@@ -494,62 +486,6 @@ mod tests {
         addrs.sort_unstable();
         assert_eq!(addrs, vec![5, 10]);
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn srrip_cache_resists_scans_better_than_lru() {
-        use crate::Srrip;
-        let geom = CacheGeometry::from_entries(8, 8); // one 8-way set
-        let mut lru = ConventionalCache::new(geom);
-        let mut srrip = ConventionalCache::with_policy(geom, Srrip::new(1, 8));
-
-        // A hot block re-referenced between one-shot scan blocks.
-        let hot = BlockAddr(0);
-        let run = |c: &mut dyn FnMut(BlockAddr) -> bool| -> u64 {
-            let mut hot_hits = 0;
-            for i in 1..200u64 {
-                if c(hot) {
-                    hot_hits += 1;
-                }
-                c(BlockAddr(i)); // scan block, never reused
-            }
-            hot_hits
-        };
-        let mut drive_lru = |addr: BlockAddr| -> bool {
-            if lru.read(addr).is_some() {
-                true
-            } else {
-                lru.fill(addr, BlockData::zeroed());
-                false
-            }
-        };
-        let lru_hits = run(&mut drive_lru);
-        let mut drive_srrip = |addr: BlockAddr| -> bool {
-            if srrip.read(addr).is_some() {
-                true
-            } else {
-                srrip.fill(addr, BlockData::zeroed());
-                false
-            }
-        };
-        let srrip_hits = run(&mut drive_srrip);
-        assert!(
-            srrip_hits >= lru_hits,
-            "SRRIP ({srrip_hits}) should match or beat LRU ({lru_hits}) on a scan mix"
-        );
-        assert!(srrip_hits > 150, "hot block should mostly hit under SRRIP: {srrip_hits}");
-    }
-
-    #[test]
-    fn fifo_cache_works_end_to_end() {
-        use crate::Fifo;
-        let geom = CacheGeometry::from_entries(4, 2);
-        let mut c = ConventionalCache::with_policy(geom, Fifo::new(2, 2));
-        c.fill(BlockAddr(0), blk(1.0));
-        c.fill(BlockAddr(2), blk(2.0));
-        c.read(BlockAddr(0)); // a hit must not refresh FIFO order
-        let ev = c.fill(BlockAddr(4), blk(3.0)).unwrap();
-        assert_eq!(ev.addr, BlockAddr(0), "FIFO evicts the oldest fill");
     }
 
     #[test]

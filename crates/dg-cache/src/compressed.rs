@@ -38,9 +38,8 @@
 use crate::Evicted;
 use dg_compress::bdi;
 use dg_mem::{BlockAddr, BlockData, BLOCK_BYTES};
-use dg_obs::{enabled, Hist64, Level, Snapshot};
+use dg_obs::{enabled, Hist64, Level};
 use std::fmt;
-use std::ops::AddAssign;
 
 /// Geometry of a [`CompressedCache`].
 ///
@@ -131,44 +130,45 @@ impl CompressedConfig {
     }
 }
 
-/// Event counters for a [`CompressedCache`].
-///
-/// The first six fields mirror [`crate::CacheStats`]; the rest are
-/// compression-specific. All are architectural (the lockstep oracle
-/// reproduces every one).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompStats {
-    /// Lookups that found the block resident.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Blocks inserted by fills.
-    pub insertions: u64,
-    /// Blocks displaced (tag eviction or segment pressure).
-    pub evictions: u64,
-    /// Displaced blocks that were dirty.
-    pub dirty_evictions: u64,
-    /// Blocks removed by external invalidation.
-    pub invalidations: u64,
-    /// Whole superblock tags displaced to admit a new superblock.
-    pub tag_evictions: u64,
-    /// Blocks displaced because a dirty re-compression grew.
-    pub expansion_evictions: u64,
-    /// Encoder runs on fill.
-    pub compressions: u64,
-    /// Encoder runs on a dirty-writeback re-compression.
-    pub recompressions: u64,
-    /// Decoder runs serving read hits.
-    pub decompressions: u64,
-    /// Superblock tag-array probes.
-    pub tag_accesses: u64,
-    /// Data-array segments read or written.
-    pub data_seg_accesses: u64,
-    /// Sum of exact BΔI sizes over all fills (compression-ratio
-    /// numerator before segment rounding).
-    pub fill_bytes: u64,
-    /// Sum of segment footprints over all fills (after rounding).
-    pub fill_segments: u64,
+dg_obs::counters! {
+    /// Event counters for a [`CompressedCache`].
+    ///
+    /// The first six fields mirror [`crate::CacheStats`]; the rest are
+    /// compression-specific. All are architectural (the lockstep oracle
+    /// reproduces every one).
+    pub struct CompStats {
+        /// Lookups that found the block resident.
+        hits,
+        /// Lookups that missed.
+        misses,
+        /// Blocks inserted by fills.
+        insertions,
+        /// Blocks displaced (tag eviction or segment pressure).
+        evictions,
+        /// Displaced blocks that were dirty.
+        dirty_evictions,
+        /// Blocks removed by external invalidation.
+        invalidations,
+        /// Whole superblock tags displaced to admit a new superblock.
+        tag_evictions,
+        /// Blocks displaced because a dirty re-compression grew.
+        expansion_evictions,
+        /// Encoder runs on fill.
+        compressions,
+        /// Encoder runs on a dirty-writeback re-compression.
+        recompressions,
+        /// Decoder runs serving read hits.
+        decompressions,
+        /// Superblock tag-array probes.
+        tag_accesses,
+        /// Data-array segments read or written.
+        data_seg_accesses,
+        /// Sum of exact BΔI sizes over all fills (compression-ratio
+        /// numerator before segment rounding).
+        fill_bytes,
+        /// Sum of segment footprints over all fills (after rounding).
+        fill_segments,
+    }
 }
 
 impl CompStats {
@@ -194,48 +194,6 @@ impl CompStats {
             return 1.0;
         }
         self.fill_bytes as f64 / (self.insertions * BLOCK_BYTES as u64) as f64
-    }
-}
-
-impl Snapshot for CompStats {
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("hits", self.hits),
-            ("misses", self.misses),
-            ("insertions", self.insertions),
-            ("evictions", self.evictions),
-            ("dirty_evictions", self.dirty_evictions),
-            ("invalidations", self.invalidations),
-            ("tag_evictions", self.tag_evictions),
-            ("expansion_evictions", self.expansion_evictions),
-            ("compressions", self.compressions),
-            ("recompressions", self.recompressions),
-            ("decompressions", self.decompressions),
-            ("tag_accesses", self.tag_accesses),
-            ("data_seg_accesses", self.data_seg_accesses),
-            ("fill_bytes", self.fill_bytes),
-            ("fill_segments", self.fill_segments),
-        ]
-    }
-}
-
-impl AddAssign for CompStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.hits += rhs.hits;
-        self.misses += rhs.misses;
-        self.insertions += rhs.insertions;
-        self.evictions += rhs.evictions;
-        self.dirty_evictions += rhs.dirty_evictions;
-        self.invalidations += rhs.invalidations;
-        self.tag_evictions += rhs.tag_evictions;
-        self.expansion_evictions += rhs.expansion_evictions;
-        self.compressions += rhs.compressions;
-        self.recompressions += rhs.recompressions;
-        self.decompressions += rhs.decompressions;
-        self.tag_accesses += rhs.tag_accesses;
-        self.data_seg_accesses += rhs.data_seg_accesses;
-        self.fill_bytes += rhs.fill_bytes;
-        self.fill_segments += rhs.fill_segments;
     }
 }
 

@@ -4,10 +4,10 @@
 //! from scratch:
 //!
 //! * [`CacheGeometry`] — size / associativity / block-size arithmetic.
-//! * [`Replacer`] and implementations ([`Lru`], [`Fifo`], [`RandomRepl`],
-//!   [`Srrip`]) — pluggable per-set replacement policies.
+//! * [`Lru`] — per-set least-recently-used replacement, the paper's
+//!   policy for every array.
 //! * [`TagArray`] — a generic set-associative array of caller-defined
-//!   entries with replacement-policy bookkeeping.
+//!   entries with LRU bookkeeping.
 //! * [`ConventionalCache`] — a data-carrying write-back cache used for
 //!   the private L1/L2 levels, the precise LLC partition, and the
 //!   baseline 2 MB LLC.
@@ -38,7 +38,7 @@ pub use array::TagArray;
 pub use cache::{ConventionalCache, Evicted, Line};
 pub use compressed::{CompStats, CompressedCache, CompressedConfig};
 pub use geometry::{CacheGeometry, GeometryError};
-pub use replacement::{Fifo, Lru, RandomRepl, Replacer, Srrip};
+pub use replacement::Lru;
 pub use sharers::Sharers;
 pub use stats::CacheStats;
 pub use writeback::WritebackBuffer;

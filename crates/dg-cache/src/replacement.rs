@@ -1,36 +1,12 @@
-//! Pluggable per-set replacement policies.
+//! Per-set replacement bookkeeping.
 
-use std::fmt::Debug;
-
-/// A per-set replacement policy for a set-associative structure.
-///
-/// The policy tracks access recency/order per `(set, way)` and selects
-/// victims. Invalid ways are preferred automatically by [`TagArray`]
-/// before the policy is consulted, so `victim` may assume a full set.
-///
-/// The paper uses LRU everywhere (Table 1) and notes that the decoupled
-/// arrays permit *distinct* policies per array (§3.5) — hence the trait.
-///
-/// [`TagArray`]: crate::TagArray
-pub trait Replacer: Debug {
-    /// Note that `(set, way)` was accessed (hit or after fill).
-    fn touch(&mut self, set: usize, way: usize);
-
-    /// Note that `(set, way)` was filled with a fresh entry.
-    fn fill(&mut self, set: usize, way: usize) {
-        self.touch(set, way);
-    }
-
-    /// Choose a victim way in a full `set`.
-    fn victim(&mut self, set: usize) -> usize;
-}
-
-/// Least-recently-used replacement (the paper's policy for every array).
+/// Least-recently-used replacement, the paper's policy for every array
+/// (Table 1).
 ///
 /// # Example
 ///
 /// ```
-/// use dg_cache::{Lru, Replacer};
+/// use dg_cache::Lru;
 /// let mut lru = Lru::new(1, 4);
 /// for w in 0..4 { lru.touch(0, w); }
 /// lru.touch(0, 0);          // way 0 becomes most recent
@@ -48,126 +24,25 @@ impl Lru {
     pub fn new(sets: usize, ways: usize) -> Self {
         Lru { stamp: 0, last_use: vec![0; sets * ways], ways }
     }
-}
 
-impl Replacer for Lru {
-    fn touch(&mut self, set: usize, way: usize) {
+    /// Note that `(set, way)` was accessed (hit or after fill).
+    pub fn touch(&mut self, set: usize, way: usize) {
         self.stamp += 1;
         self.last_use[set * self.ways + way] = self.stamp;
     }
 
-    fn victim(&mut self, set: usize) -> usize {
+    /// Note that `(set, way)` was filled with a fresh entry.
+    pub fn fill(&mut self, set: usize, way: usize) {
+        self.touch(set, way);
+    }
+
+    /// Choose a victim way in a full `set` ([`crate::TagArray`] prefers
+    /// invalid ways before asking).
+    pub fn victim(&mut self, set: usize) -> usize {
         let base = set * self.ways;
         (0..self.ways)
             .min_by_key(|&w| self.last_use[base + w])
             .expect("non-zero associativity")
-    }
-}
-
-/// First-in-first-out replacement: evicts the oldest *fill*, ignoring
-/// hits.
-#[derive(Debug, Clone)]
-pub struct Fifo {
-    stamp: u64,
-    filled: Vec<u64>,
-    ways: usize,
-}
-
-impl Fifo {
-    /// FIFO state for `sets × ways` entries.
-    pub fn new(sets: usize, ways: usize) -> Self {
-        Fifo { stamp: 0, filled: vec![0; sets * ways], ways }
-    }
-}
-
-impl Replacer for Fifo {
-    fn touch(&mut self, _set: usize, _way: usize) {}
-
-    fn fill(&mut self, set: usize, way: usize) {
-        self.stamp += 1;
-        self.filled[set * self.ways + way] = self.stamp;
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        (0..self.ways)
-            .min_by_key(|&w| self.filled[base + w])
-            .expect("non-zero associativity")
-    }
-}
-
-/// Pseudo-random replacement with a deterministic xorshift generator
-/// (no external RNG state, reproducible across runs).
-#[derive(Debug, Clone)]
-pub struct RandomRepl {
-    state: u64,
-    ways: usize,
-}
-
-impl RandomRepl {
-    /// Random replacement over `ways`-way sets, seeded deterministically.
-    pub fn new(ways: usize, seed: u64) -> Self {
-        RandomRepl { state: seed | 1, ways }
-    }
-}
-
-impl Replacer for RandomRepl {
-    fn touch(&mut self, _set: usize, _way: usize) {}
-
-    fn victim(&mut self, _set: usize) -> usize {
-        // xorshift64*
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % self.ways
-    }
-}
-
-/// Static re-reference interval prediction (SRRIP, Jaleel et al.,
-/// ISCA 2010 — cited as reference-based related work by the
-/// Doppelgänger paper). Each way carries a 2-bit re-reference
-/// prediction value (RRPV): fills insert at RRPV 2 ("long"), hits
-/// promote to 0 ("near-immediate"), and the victim is any way at
-/// RRPV 3, aging every way until one appears.
-#[derive(Debug, Clone)]
-pub struct Srrip {
-    rrpv: Vec<u8>,
-    ways: usize,
-}
-
-impl Srrip {
-    /// Maximum RRPV for the 2-bit variant.
-    const MAX: u8 = 3;
-    /// Insertion RRPV ("long re-reference interval").
-    const INSERT: u8 = 2;
-
-    /// SRRIP state for `sets × ways` entries.
-    pub fn new(sets: usize, ways: usize) -> Self {
-        Srrip { rrpv: vec![Self::MAX; sets * ways], ways }
-    }
-}
-
-impl Replacer for Srrip {
-    fn touch(&mut self, set: usize, way: usize) {
-        self.rrpv[set * self.ways + way] = 0;
-    }
-
-    fn fill(&mut self, set: usize, way: usize) {
-        self.rrpv[set * self.ways + way] = Self::INSERT;
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        loop {
-            if let Some(w) = (0..self.ways).find(|&w| self.rrpv[base + w] >= Self::MAX) {
-                return w;
-            }
-            for w in 0..self.ways {
-                self.rrpv[base + w] += 1;
-            }
-        }
     }
 }
 
@@ -197,78 +72,5 @@ mod tests {
         lru.fill(1, 0);
         assert_eq!(lru.victim(0), 0);
         assert_eq!(lru.victim(1), 1);
-    }
-
-    #[test]
-    fn fifo_ignores_hits() {
-        let mut fifo = Fifo::new(1, 3);
-        fifo.fill(0, 0);
-        fifo.fill(0, 1);
-        fifo.fill(0, 2);
-        fifo.touch(0, 0); // a hit must not refresh FIFO order
-        assert_eq!(fifo.victim(0), 0);
-    }
-
-    #[test]
-    fn random_is_deterministic_and_in_range() {
-        let mut a = RandomRepl::new(8, 42);
-        let mut b = RandomRepl::new(8, 42);
-        for _ in 0..100 {
-            let va = a.victim(0);
-            assert_eq!(va, b.victim(0));
-            assert!(va < 8);
-        }
-    }
-
-    #[test]
-    fn srrip_prefers_distant_rereference() {
-        let mut p = Srrip::new(1, 4);
-        for w in 0..4 {
-            p.fill(0, w); // all at RRPV 2
-        }
-        p.touch(0, 1); // way 1 promoted to 0
-        p.touch(0, 3);
-        // Victim must be one of the unpromoted ways (0 or 2).
-        let v = p.victim(0);
-        assert!(v == 0 || v == 2, "got {v}");
-    }
-
-    #[test]
-    fn srrip_scan_resistance() {
-        // A hot way keeps surviving a stream of single-use fills —
-        // the property RRIP is built for.
-        let mut p = Srrip::new(1, 4);
-        for w in 0..4 {
-            p.fill(0, w);
-        }
-        p.touch(0, 0); // way 0 is hot
-        for _ in 0..16 {
-            let v = p.victim(0);
-            assert_ne!(v, 0, "hot way evicted by the scan");
-            p.fill(0, v); // the scan block lands with a long interval
-            p.touch(0, 0); // and the hot way keeps getting hits
-        }
-    }
-
-    #[test]
-    fn srrip_ages_until_victim_found() {
-        let mut p = Srrip::new(1, 2);
-        p.fill(0, 0);
-        p.fill(0, 1);
-        p.touch(0, 0);
-        p.touch(0, 1); // everyone at RRPV 0
-        // Aging must still produce a victim.
-        let v = p.victim(0);
-        assert!(v < 2);
-    }
-
-    #[test]
-    fn random_covers_multiple_ways() {
-        let mut r = RandomRepl::new(4, 7);
-        let mut seen = [false; 4];
-        for _ in 0..200 {
-            seen[r.victim(0)] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "random policy should reach every way");
     }
 }

@@ -1,28 +1,28 @@
 //! Cache statistics accounting.
 
-use dg_obs::Snapshot;
 use std::fmt;
-use std::ops::AddAssign;
 
-/// Counters accumulated by a cache structure.
-///
-/// All counters are monotonically increasing; derive rates
-/// ([`CacheStats::hit_rate`], [`CacheStats::miss_rate`]) on demand.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found the block.
-    pub hits: u64,
-    /// Lookups that did not find the block.
-    pub misses: u64,
-    /// Blocks inserted (fills).
-    pub insertions: u64,
-    /// Blocks displaced by fills.
-    pub evictions: u64,
-    /// Displaced blocks that required a writeback.
-    pub dirty_evictions: u64,
-    /// Blocks removed by external invalidations (coherence or
-    /// inclusion back-invalidations).
-    pub invalidations: u64,
+dg_obs::counters! {
+    /// Counters accumulated by a cache structure.
+    ///
+    /// All counters are monotonically increasing; derive rates
+    /// ([`CacheStats::hit_rate`], [`CacheStats::miss_rate`]) on demand.
+    pub struct CacheStats {
+        /// Lookups that found the block.
+        hits,
+        /// Lookups that did not find the block.
+        misses,
+        /// Blocks inserted (fills).
+        insertions,
+        /// Blocks displaced by fills.
+        evictions,
+        /// Displaced blocks that required a writeback.
+        dirty_evictions,
+        /// Blocks removed by external invalidations (coherence or
+        /// inclusion back-invalidations).
+        invalidations,
+    }
+    derived accesses;
 }
 
 impl CacheStats {
@@ -90,31 +90,6 @@ impl CacheStats {
     #[inline]
     pub fn record_invalidation(&mut self) {
         self.invalidations += 1;
-    }
-}
-
-impl Snapshot for CacheStats {
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("hits", self.hits),
-            ("misses", self.misses),
-            ("insertions", self.insertions),
-            ("evictions", self.evictions),
-            ("dirty_evictions", self.dirty_evictions),
-            ("invalidations", self.invalidations),
-            ("accesses", self.accesses()),
-        ]
-    }
-}
-
-impl AddAssign for CacheStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.hits += rhs.hits;
-        self.misses += rhs.misses;
-        self.insertions += rhs.insertions;
-        self.evictions += rhs.evictions;
-        self.dirty_evictions += rhs.dirty_evictions;
-        self.invalidations += rhs.invalidations;
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property tests for the cache substrate (dg-check harness).
 
-use dg_cache::{CacheGeometry, ConventionalCache, Lru, Replacer, TagArray};
+use dg_cache::{CacheGeometry, ConventionalCache, Lru, TagArray};
 use dg_check::{any, props, vec};
 use dg_mem::{BlockAddr, BlockData, ElemType};
 use std::collections::VecDeque;

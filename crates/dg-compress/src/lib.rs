@@ -10,12 +10,6 @@
 //! * [`dedup`] — **exact deduplication** (Tian et al., ICS 2014 style):
 //!   byte-identical blocks are stored once.
 //!
-//! Plus one extension baseline beyond the paper's Fig. 8:
-//!
-//! * [`fpc`] — **Frequent Pattern Compression** (Alameldeen & Wood,
-//!   ISCA 2004), the significance-based scheme the paper cites in its
-//!   related work.
-//!
 //! Both operate on the same `dg_mem::BlockData` snapshots the
 //! Doppelgänger analyses consume, so Fig. 8's four bars come from one
 //! code path.
@@ -25,66 +19,9 @@
 
 pub mod bdi;
 pub mod dedup;
-pub mod fpc;
 
 pub use bdi::{bdi_savings, BdiEncoding};
 pub use dedup::{dedup_savings, DedupStore};
-pub use fpc::{fpc_savings, FpcPattern};
-
-use dg_mem::{BlockData, BLOCK_BYTES};
-
-/// A per-block lossless compression scheme, unifying BΔI and FPC behind
-/// one interface so sweeps and downstream users can treat them
-/// uniformly.
-pub trait CompressionScheme {
-    /// Scheme name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Compressed size of one 64 B block, in bytes (≤ 64).
-    fn compressed_size(&self, block: &BlockData) -> usize;
-
-    /// Savings over a set of blocks.
-    fn savings<'a>(&self, blocks: impl IntoIterator<Item = &'a BlockData>) -> CompressionReport
-    where
-        Self: Sized,
-    {
-        let mut original = 0;
-        let mut stored = 0;
-        for b in blocks {
-            original += BLOCK_BYTES as u64;
-            stored += self.compressed_size(b) as u64;
-        }
-        CompressionReport { original_bytes: original, stored_bytes: stored }
-    }
-}
-
-/// BΔI as a [`CompressionScheme`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Bdi;
-
-impl CompressionScheme for Bdi {
-    fn name(&self) -> &'static str {
-        "bdi"
-    }
-
-    fn compressed_size(&self, block: &BlockData) -> usize {
-        bdi::compressed_size(block)
-    }
-}
-
-/// FPC as a [`CompressionScheme`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Fpc;
-
-impl CompressionScheme for Fpc {
-    fn name(&self) -> &'static str {
-        "fpc"
-    }
-
-    fn compressed_size(&self, block: &BlockData) -> usize {
-        fpc::compressed_size(block)
-    }
-}
 
 /// Storage-savings summary shared by the baselines.
 ///
@@ -133,25 +70,5 @@ mod tests {
         let r = CompressionReport { original_bytes: 0, stored_bytes: 0 };
         assert_eq!(r.savings(), 0.0);
         assert_eq!(r.ratio(), 1.0);
-    }
-
-    #[test]
-    fn schemes_share_one_interface() {
-        use dg_mem::ElemType;
-        let zero = BlockData::zeroed();
-        let small = BlockData::from_values(ElemType::I32, &[5.0; 16]);
-        let blocks = [zero, small];
-        for (scheme, name) in [
-            (&Bdi as &dyn CompressionScheme, "bdi"),
-            (&Fpc as &dyn CompressionScheme, "fpc"),
-        ] {
-            assert_eq!(scheme.name(), name);
-            for b in &blocks {
-                let sz = scheme.compressed_size(b);
-                assert!((1..=64).contains(&sz), "{name}: size {sz}");
-            }
-        }
-        assert!(Bdi.savings(blocks.iter()).savings() > 0.5);
-        assert!(Fpc.savings(blocks.iter()).savings() > 0.5);
     }
 }

@@ -88,8 +88,8 @@ mod tests {
     struct Fake;
 
     impl Snapshot for Fake {
-        fn metrics(&self) -> Vec<(&'static str, u64)> {
-            vec![("hits", 10), ("misses", 3)]
+        fn metrics(&self) -> Vec<(String, u64)> {
+            vec![("hits".into(), 10), ("misses".into(), 3)]
         }
         fn float_metrics(&self) -> Vec<(&'static str, f64)> {
             vec![("rate", 0.77)]

@@ -49,11 +49,6 @@ impl OracleCache {
         }
     }
 
-    /// The cache's geometry.
-    pub fn geometry(&self) -> &CacheGeometry {
-        &self.geom
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats

@@ -1,49 +1,48 @@
 //! Server-level counters, per shard and aggregated.
 
-use dg_obs::Snapshot;
-use std::ops::AddAssign;
-
-/// Counters accumulated by one shard (and summable across shards).
-///
-/// These sit *above* the per-shard [`doppelganger::DoppStats`]: they
-/// classify whole server operations (get/put/query outcomes), while the
-/// cache's own stats count array-level events. Exported through
-/// [`Snapshot`] so the JSON schema and any divergence cross-check track
-/// the struct field-for-field.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// `Get` requests served.
-    pub gets: u64,
-    /// `Get` requests that found the key resident.
-    pub get_hits: u64,
-    /// `Get` requests that missed.
-    pub get_misses: u64,
-    /// `Put` requests served.
-    pub puts: u64,
-    /// `Put`s of non-resident keys that allocated a fresh data entry.
-    pub put_inserts: u64,
-    /// `Put`s of non-resident keys deduplicated against a similar
-    /// resident block.
-    pub put_dedup: u64,
-    /// `Put`s of resident keys (in-place or moved updates).
-    pub put_updates: u64,
-    /// Resident-key `Put`s whose new values moved the tag to a
-    /// different data entry.
-    pub put_moved: u64,
-    /// `Query` requests served.
-    pub queries: u64,
-    /// `Query` requests answered by an exact (tag) hit.
-    pub query_exact_hits: u64,
-    /// `Query` misses admitted by sharing a similar resident block.
-    pub query_similar_hits: u64,
-    /// `Query` misses that allocated a fresh data entry.
-    pub query_misses: u64,
-    /// Blocks displaced by insertions (tag-set victims and evicted
-    /// sharing lists).
-    pub displaced: u64,
-    /// Displaced blocks that were dirty — writebacks a backing store
-    /// would have to absorb.
-    pub dirty_writebacks: u64,
+dg_obs::counters! {
+    /// Counters accumulated by one shard (and summable across shards).
+    ///
+    /// These sit *above* the per-shard [`doppelganger::DoppStats`]: they
+    /// classify whole server operations (get/put/query outcomes), while the
+    /// cache's own stats count array-level events. Exported through
+    /// [`dg_obs::Snapshot`] so the JSON schema and any divergence cross-check track
+    /// the struct field-for-field.
+    pub struct ServeStats {
+        /// `Get` requests served.
+        gets,
+        /// `Get` requests that found the key resident.
+        get_hits,
+        /// `Get` requests that missed.
+        get_misses,
+        /// `Put` requests served.
+        puts,
+        /// `Put`s of non-resident keys that allocated a fresh data entry.
+        put_inserts,
+        /// `Put`s of non-resident keys deduplicated against a similar
+        /// resident block.
+        put_dedup,
+        /// `Put`s of resident keys (in-place or moved updates).
+        put_updates,
+        /// Resident-key `Put`s whose new values moved the tag to a
+        /// different data entry.
+        put_moved,
+        /// `Query` requests served.
+        queries,
+        /// `Query` requests answered by an exact (tag) hit.
+        query_exact_hits,
+        /// `Query` misses admitted by sharing a similar resident block.
+        query_similar_hits,
+        /// `Query` misses that allocated a fresh data entry.
+        query_misses,
+        /// Blocks displaced by insertions (tag-set victims and evicted
+        /// sharing lists).
+        displaced,
+        /// Displaced blocks that were dirty — writebacks a backing store
+        /// would have to absorb.
+        dirty_writebacks,
+    }
+    float hit_rate;
 }
 
 impl ServeStats {
@@ -76,105 +75,11 @@ impl ServeStats {
         }
     }
 
-    /// Counters accumulated since `earlier` — the per-window delta the
-    /// monitor works with. Every counter is monotone between resets, so
-    /// a `None` (some field went backwards) means `earlier` is not an
-    /// older snapshot of these counters (e.g. `reset_stats` ran between
-    /// the two) and the window must be discarded.
-    pub fn checked_delta(&self, earlier: &ServeStats) -> Option<ServeStats> {
-        Some(ServeStats {
-            gets: self.gets.checked_sub(earlier.gets)?,
-            get_hits: self.get_hits.checked_sub(earlier.get_hits)?,
-            get_misses: self.get_misses.checked_sub(earlier.get_misses)?,
-            puts: self.puts.checked_sub(earlier.puts)?,
-            put_inserts: self.put_inserts.checked_sub(earlier.put_inserts)?,
-            put_dedup: self.put_dedup.checked_sub(earlier.put_dedup)?,
-            put_updates: self.put_updates.checked_sub(earlier.put_updates)?,
-            put_moved: self.put_moved.checked_sub(earlier.put_moved)?,
-            queries: self.queries.checked_sub(earlier.queries)?,
-            query_exact_hits: self.query_exact_hits.checked_sub(earlier.query_exact_hits)?,
-            query_similar_hits: self.query_similar_hits.checked_sub(earlier.query_similar_hits)?,
-            query_misses: self.query_misses.checked_sub(earlier.query_misses)?,
-            displaced: self.displaced.checked_sub(earlier.displaced)?,
-            dirty_writebacks: self.dirty_writebacks.checked_sub(earlier.dirty_writebacks)?,
-        })
-    }
-}
-
-impl AddAssign for ServeStats {
-    fn add_assign(&mut self, o: Self) {
-        self.gets += o.gets;
-        self.get_hits += o.get_hits;
-        self.get_misses += o.get_misses;
-        self.puts += o.puts;
-        self.put_inserts += o.put_inserts;
-        self.put_dedup += o.put_dedup;
-        self.put_updates += o.put_updates;
-        self.put_moved += o.put_moved;
-        self.queries += o.queries;
-        self.query_exact_hits += o.query_exact_hits;
-        self.query_similar_hits += o.query_similar_hits;
-        self.query_misses += o.query_misses;
-        self.displaced += o.displaced;
-        self.dirty_writebacks += o.dirty_writebacks;
-    }
-}
-
-impl Snapshot for ServeStats {
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("gets", self.gets),
-            ("get_hits", self.get_hits),
-            ("get_misses", self.get_misses),
-            ("puts", self.puts),
-            ("put_inserts", self.put_inserts),
-            ("put_dedup", self.put_dedup),
-            ("put_updates", self.put_updates),
-            ("put_moved", self.put_moved),
-            ("queries", self.queries),
-            ("query_exact_hits", self.query_exact_hits),
-            ("query_similar_hits", self.query_similar_hits),
-            ("query_misses", self.query_misses),
-            ("displaced", self.displaced),
-            ("dirty_writebacks", self.dirty_writebacks),
-        ]
-    }
-
-    fn float_metrics(&self) -> Vec<(&'static str, f64)> {
-        vec![("hit_rate", self.hit_rate())]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_enumerates_every_field() {
-        // Field-count tripwire: a new counter must be added to
-        // metrics() or this destructuring stops compiling and the
-        // count below goes stale.
-        let s = ServeStats {
-            gets: 1,
-            get_hits: 2,
-            get_misses: 3,
-            puts: 4,
-            put_inserts: 5,
-            put_dedup: 6,
-            put_updates: 7,
-            put_moved: 8,
-            queries: 9,
-            query_exact_hits: 10,
-            query_similar_hits: 11,
-            query_misses: 12,
-            displaced: 13,
-            dirty_writebacks: 14,
-        };
-        let m = s.metrics();
-        assert_eq!(m.len(), 14);
-        let sum: u64 = m.iter().map(|(_, v)| v).sum();
-        assert_eq!(sum, (1..=14).sum::<u64>(), "every field enumerated exactly once");
-    }
 
     #[test]
     fn checked_delta_recovers_the_increment() {

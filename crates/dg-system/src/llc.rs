@@ -5,7 +5,7 @@
 use crate::{ArrayConfig, LlcArray, SystemConfig};
 use dg_cache::{CacheGeometry, CompStats, CompressedCache, ConventionalCache, Evicted};
 use dg_mem::{ApproxRegion, BlockAddr, BlockData, MemoryImage};
-use dg_obs::{Hist64, Snapshot};
+use dg_obs::Hist64;
 use doppelganger::{DoppStats, DoppelgangerCache};
 
 /// Result of an LLC read ([`Llc::read_into`]) or writeback
@@ -24,21 +24,23 @@ pub struct LlcAccess {
     pub fetched_from_memory: bool,
 }
 
-/// Activity counters for LLC energy accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LlcCounters {
-    /// Conventional-portion tag probes (baseline LLC or precise cache).
-    pub precise_tag_accesses: u64,
-    /// Conventional-portion data-array accesses.
-    pub precise_data_accesses: u64,
+dg_obs::counters! {
+    /// Activity counters for LLC energy accounting.
+    pub struct LlcCounters {
+        /// Conventional-portion tag probes (baseline LLC or precise cache).
+        precise_tag_accesses,
+        /// Conventional-portion data-array accesses.
+        precise_data_accesses,
+        /// Total LLC lookups.
+        lookups,
+        /// Total LLC lookup hits.
+        hits,
+    }
+    derived misses;
     /// Doppelgänger statistics (zeroed for the baseline).
-    pub dopp: DoppStats,
+    nested dopp: DoppStats;
     /// Compressed-organization statistics (zeroed for the others).
-    pub comp: CompStats,
-    /// Total LLC lookups.
-    pub lookups: u64,
-    /// Total LLC lookup hits.
-    pub hits: u64,
+    nested comp: CompStats;
 }
 
 impl LlcCounters {
@@ -54,58 +56,6 @@ impl LlcCounters {
         } else {
             self.misses() as f64 * 1000.0 / instructions as f64
         }
-    }
-}
-
-impl Snapshot for LlcCounters {
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        // Flatten the embedded DoppStats under `dopp.` (and CompStats
-        // under `comp.`) so one zip over two snapshots compares the
-        // whole struct field-for-field.
-        let out = vec![
-            ("precise_tag_accesses", self.precise_tag_accesses),
-            ("precise_data_accesses", self.precise_data_accesses),
-            ("lookups", self.lookups),
-            ("hits", self.hits),
-            ("misses", self.misses()),
-            ("dopp.hits", self.dopp.hits),
-            ("dopp.misses", self.dopp.misses),
-            ("dopp.insertions", self.dopp.insertions),
-            ("dopp.shared_insertions", self.dopp.shared_insertions),
-            ("dopp.precise_insertions", self.dopp.precise_insertions),
-            ("dopp.map_generations", self.dopp.map_generations),
-            ("dopp.tag_evictions", self.dopp.tag_evictions),
-            ("dopp.data_evictions", self.dopp.data_evictions),
-            ("dopp.back_invalidations", self.dopp.back_invalidations),
-            ("dopp.writes", self.dopp.writes),
-            ("dopp.silent_writes", self.dopp.silent_writes),
-            ("dopp.moved_writes", self.dopp.moved_writes),
-            ("dopp.tag_array_accesses", self.dopp.tag_array_accesses),
-            ("dopp.mtag_accesses", self.dopp.mtag_accesses),
-            ("dopp.data_accesses", self.dopp.data_accesses),
-            ("comp.hits", self.comp.hits),
-            ("comp.misses", self.comp.misses),
-            ("comp.insertions", self.comp.insertions),
-            ("comp.evictions", self.comp.evictions),
-            ("comp.dirty_evictions", self.comp.dirty_evictions),
-            ("comp.invalidations", self.comp.invalidations),
-            ("comp.tag_evictions", self.comp.tag_evictions),
-            ("comp.expansion_evictions", self.comp.expansion_evictions),
-            ("comp.compressions", self.comp.compressions),
-            ("comp.recompressions", self.comp.recompressions),
-            ("comp.decompressions", self.comp.decompressions),
-            ("comp.tag_accesses", self.comp.tag_accesses),
-            ("comp.data_seg_accesses", self.comp.data_seg_accesses),
-            ("comp.fill_bytes", self.comp.fill_bytes),
-            ("comp.fill_segments", self.comp.fill_segments),
-        ];
-        debug_assert_eq!(
-            out.len(),
-            5 + (self.dopp.metrics().len() - 1) // minus the derived "lookups"
-                + self.comp.metrics().len(),
-            "LlcCounters flattening fell out of sync with DoppStats/CompStats"
-        );
-        out
     }
 }
 
@@ -314,6 +264,7 @@ mod tests {
     use super::*;
     use crate::LlcKind;
     use dg_mem::{Addr, ElemType};
+    use dg_obs::Snapshot;
 
     fn region() -> ApproxRegion {
         ApproxRegion::new(Addr(0), 1 << 30, ElemType::F32, 0.0, 100.0)
@@ -558,7 +509,7 @@ mod tests {
             assert_eq!(remaining, expected, "{label}: invalidate_block removes exactly one block");
             for ((name, b), (_, a)) in before.metrics().into_iter().zip(after.metrics()) {
                 if a != b {
-                    assert!(moved.contains(&name), "{label}: invalidation moved {name} {b} -> {a}");
+                    assert!(moved.contains(&name.as_str()), "{label}: invalidation moved {name} {b} -> {a}");
                 }
             }
             if let Some(&first) = moved.first() {

@@ -1,6 +1,6 @@
 //! Human-readable run reports.
 
-use crate::{EvalResult, System};
+use crate::System;
 use std::fmt::Write as _;
 
 /// Render a multi-level hierarchy report for a finished system:
@@ -42,29 +42,10 @@ pub fn hierarchy_report(sys: &System) -> String {
     out
 }
 
-/// Render a one-paragraph summary of an [`EvalResult`].
-pub fn eval_summary(r: &EvalResult) -> String {
-    format!(
-        "{}: {} cycles, {} insts, MPKI {:.2}, error {:.2}%, \
-         off-chip {} blocks, LLC dyn {:.2} uJ / leak {:.2} uJ / {:.2} mm2, \
-         approx footprint {:.0}%",
-        r.kernel,
-        r.runtime_cycles,
-        r.instructions,
-        r.mpki(),
-        r.output_error * 100.0,
-        r.off_chip_blocks,
-        r.energy.llc_dynamic_pj * 1e-6,
-        r.energy.llc_leakage_pj * 1e-6,
-        r.energy.llc_area_mm2,
-        r.approx_fraction * 100.0,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate, LlcKind, SystemConfig};
+    use crate::SystemConfig;
     use dg_workloads::kernels::Inversek2j;
 
     #[test]
@@ -76,10 +57,5 @@ mod tests {
         assert!(rep.contains("Doppelganger"));
         assert!(rep.contains("off-chip"));
         assert!(rep.contains("c3="));
-
-        let r = evaluate(&kernel, SystemConfig::tiny(LlcKind::Baseline), 2);
-        let s = eval_summary(&r);
-        assert!(s.contains("inversek2j"));
-        assert!(s.contains("MPKI"));
     }
 }

@@ -53,105 +53,24 @@ use dg_mem::{Addr, Memory};
 use dg_obs::Hist64;
 use dg_sample::{weighted_mean, weighted_ratio, Estimate, RatioSample, Region, RegionKind, SampleSchedule};
 use dg_workloads::{prepare, Kernel};
-use dg_cache::CompStats;
-use doppelganger::DoppStats;
 
-/// Flattened view of [`LlcCounters`] for field-wise delta/reconstruct
-/// arithmetic (4 top-level + 15 Doppelgänger + 15 compressed counters).
-const LLC_FIELDS: usize = 34;
-
-fn llc_to_array(c: &LlcCounters) -> [u64; LLC_FIELDS] {
-    [
-        c.precise_tag_accesses,
-        c.precise_data_accesses,
-        c.lookups,
-        c.hits,
-        c.dopp.hits,
-        c.dopp.misses,
-        c.dopp.insertions,
-        c.dopp.shared_insertions,
-        c.dopp.precise_insertions,
-        c.dopp.map_generations,
-        c.dopp.tag_evictions,
-        c.dopp.data_evictions,
-        c.dopp.back_invalidations,
-        c.dopp.writes,
-        c.dopp.silent_writes,
-        c.dopp.moved_writes,
-        c.dopp.tag_array_accesses,
-        c.dopp.mtag_accesses,
-        c.dopp.data_accesses,
-        c.comp.hits,
-        c.comp.misses,
-        c.comp.insertions,
-        c.comp.evictions,
-        c.comp.dirty_evictions,
-        c.comp.invalidations,
-        c.comp.tag_evictions,
-        c.comp.expansion_evictions,
-        c.comp.compressions,
-        c.comp.recompressions,
-        c.comp.decompressions,
-        c.comp.tag_accesses,
-        c.comp.data_seg_accesses,
-        c.comp.fill_bytes,
-        c.comp.fill_segments,
-    ]
-}
-
-fn llc_from_array(a: &[u64; LLC_FIELDS]) -> LlcCounters {
-    LlcCounters {
-        precise_tag_accesses: a[0],
-        precise_data_accesses: a[1],
-        lookups: a[2],
-        hits: a[3],
-        dopp: DoppStats {
-            hits: a[4],
-            misses: a[5],
-            insertions: a[6],
-            shared_insertions: a[7],
-            precise_insertions: a[8],
-            map_generations: a[9],
-            tag_evictions: a[10],
-            data_evictions: a[11],
-            back_invalidations: a[12],
-            writes: a[13],
-            silent_writes: a[14],
-            moved_writes: a[15],
-            tag_array_accesses: a[16],
-            mtag_accesses: a[17],
-            data_accesses: a[18],
-        },
-        comp: CompStats {
-            hits: a[19],
-            misses: a[20],
-            insertions: a[21],
-            evictions: a[22],
-            dirty_evictions: a[23],
-            invalidations: a[24],
-            tag_evictions: a[25],
-            expansion_evictions: a[26],
-            compressions: a[27],
-            recompressions: a[28],
-            decompressions: a[29],
-            tag_accesses: a[30],
-            data_seg_accesses: a[31],
-            fill_bytes: a[32],
-            fill_segments: a[33],
-        },
+dg_obs::counters! {
+    /// Cumulative machine counters at one instant. A window is measured
+    /// as the [`checked_delta`](Self::checked_delta) of two snapshots,
+    /// which excludes warm-up and other windows' activity by
+    /// construction.
+    struct CounterSnapshot {
+        /// Simulated runtime: the slowest core's cycle count.
+        cycles,
+        /// Instructions across cores.
+        instructions,
+        /// Core memory accesses through the detailed model.
+        accesses,
+        /// Off-chip traffic in blocks.
+        off_chip_blocks,
     }
-}
-
-/// Cumulative machine counters at one instant; windows are measured as
-/// deltas between two snapshots, which excludes warm-up and other
-/// windows' activity by construction.
-#[derive(Clone, Copy, Debug)]
-struct CounterSnapshot {
-    cycles: u64,
-    instructions: u64,
-    accesses: u64,
-    off_chip_blocks: u64,
-    llc: [u64; LLC_FIELDS],
+    /// The LLC's counters.
+    nested llc: LlcCounters;
 }
 
 impl CounterSnapshot {
@@ -161,33 +80,14 @@ impl CounterSnapshot {
             instructions: sys.total_instructions(),
             accesses: sys.accesses(),
             off_chip_blocks: sys.off_chip_blocks(),
-            llc: llc_to_array(&sys.llc_counters()),
+            llc: sys.llc_counters(),
         }
     }
 
-    fn delta(&self, start: &CounterSnapshot) -> WindowDelta {
-        let mut llc = [0u64; LLC_FIELDS];
-        for (i, d) in llc.iter_mut().enumerate() {
-            *d = self.llc[i] - start.llc[i];
-        }
-        WindowDelta {
-            cycles: self.cycles - start.cycles,
-            instructions: self.instructions - start.instructions,
-            accesses: self.accesses - start.accesses,
-            off_chip_blocks: self.off_chip_blocks - start.off_chip_blocks,
-            llc,
-        }
+    /// What the window since `start` contributed.
+    fn since(&self, start: &CounterSnapshot) -> CounterSnapshot {
+        self.checked_delta(start).expect("counters only grow within a sampled run")
     }
-}
-
-/// What one measured window contributed.
-#[derive(Clone, Copy, Debug)]
-struct WindowDelta {
-    cycles: u64,
-    instructions: u64,
-    accesses: u64,
-    off_chip_blocks: u64,
-    llc: [u64; LLC_FIELDS],
 }
 
 /// Statistical summaries of a sampled run, alongside the reconstructed
@@ -251,7 +151,7 @@ struct HybridState {
     /// there), so it is always safe as an initial value.
     skip_until: u64,
     open: Option<(usize, CounterSnapshot)>,
-    windows: Vec<Option<(WindowDelta, f64)>>,
+    windows: Vec<Option<(CounterSnapshot, f64)>>,
     pending_think: u32,
 }
 
@@ -296,7 +196,7 @@ impl HybridState {
         if next != self.mode {
             if let Some((slot, start)) = self.open.take() {
                 let end = CounterSnapshot::capture(sys);
-                self.windows[slot] = Some((end.delta(&start), sys.approx_llc_fraction()));
+                self.windows[slot] = Some((end.since(&start), sys.approx_llc_fraction()));
             }
             if next == Mode::Skip && self.mode != Mode::Skip {
                 // Functional warming: write dirty data down so DRAM is
@@ -323,7 +223,7 @@ impl HybridState {
     fn finish(&mut self, sys: &mut System) {
         if let Some((slot, start)) = self.open.take() {
             let end = CounterSnapshot::capture(sys);
-            self.windows[slot] = Some((end.delta(&start), sys.approx_llc_fraction()));
+            self.windows[slot] = Some((end.since(&start), sys.approx_llc_fraction()));
         }
     }
 }
@@ -445,7 +345,7 @@ pub fn run_sampled(
 
     let total = state.idx.max(1);
     // Weighted per-access rates over the measured windows.
-    let mut samples: Vec<(f64, &WindowDelta, f64)> = Vec::new(); // (weight, delta, approx_frac)
+    let mut samples: Vec<(f64, &CounterSnapshot, f64)> = Vec::new(); // (weight, delta, approx_frac)
     for (slot, w) in state.windows.iter().enumerate() {
         if let Some((delta, frac)) = w {
             if delta.accesses > 0 {
@@ -455,26 +355,25 @@ pub fn run_sampled(
     }
     let measured_intervals = samples.len();
 
-    let rate = |field: &dyn Fn(&WindowDelta) -> u64| -> f64 {
-        samples.iter().map(|(w, d, _)| w * field(d) as f64 / d.accesses as f64).sum()
-    };
-    let est_cycles = (total as f64 * rate(&|d| d.cycles)).round() as u64;
-    let est_instructions = (total as f64 * rate(&|d| d.instructions)).round() as u64;
-    let est_off_chip = (total as f64 * rate(&|d| d.off_chip_blocks)).round() as u64;
-    let mut est_llc = [0u64; LLC_FIELDS];
-    for (i, v) in est_llc.iter_mut().enumerate() {
-        *v = (total as f64 * rate(&|d| d.llc[i])).round() as u64;
+    // Each counter's full-run estimate: its weighted per-access rate
+    // over the measured windows, times the true trace length.
+    let mut rates = vec![0.0; CounterSnapshot::LEN];
+    for (w, d, _) in &samples {
+        for (rate, v) in rates.iter_mut().zip(d.values()) {
+            *rate += w * v as f64 / d.accesses as f64;
+        }
     }
+    let estimates: Vec<u64> = rates.iter().map(|r| (total as f64 * r).round() as u64).collect();
+    let mut est = CounterSnapshot::from_values(&estimates);
     // Keep hits ≤ lookups after independent rounding.
-    est_llc[3] = est_llc[3].min(est_llc[2]);
-    let est_counters = llc_from_array(&est_llc);
+    est.llc.hits = est.llc.hits.min(est.llc.lookups);
 
     let miss_rate = weighted_ratio(
         &samples
             .iter()
             .map(|(w, d, _)| RatioSample {
-                num: (d.llc[2] - d.llc[3]) as f64,
-                den: d.llc[2] as f64,
+                num: d.llc.misses() as f64,
+                den: d.llc.lookups as f64,
                 weight: *w,
             })
             .collect::<Vec<_>>(),
@@ -483,8 +382,8 @@ pub fn run_sampled(
         &samples
             .iter()
             .map(|(w, d, _)| RatioSample {
-                num: d.llc[4] as f64,
-                den: (d.llc[4] + d.llc[5]) as f64,
+                num: d.llc.dopp.hits as f64,
+                den: d.llc.dopp.lookups() as f64,
                 weight: *w,
             })
             .collect::<Vec<_>>(),
@@ -516,13 +415,13 @@ pub fn run_sampled(
 
     let result = EvalResult {
         kernel: kernel.name(),
-        runtime_cycles: est_cycles,
-        instructions: est_instructions,
+        runtime_cycles: est.cycles,
+        instructions: est.instructions,
         accesses: total,
         output_error: scaled_error,
-        off_chip_blocks: est_off_chip,
-        llc: est_counters,
-        energy: llc_energy(&cfg, &est_counters, est_cycles),
+        off_chip_blocks: est.off_chip_blocks,
+        llc: est.llc,
+        energy: llc_energy(&cfg, &est.llc, est.cycles),
         approx_fraction,
     };
     SampledOutcome {

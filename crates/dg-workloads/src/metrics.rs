@@ -89,7 +89,7 @@ pub struct ErrorStats {
 }
 
 impl dg_obs::Snapshot for ErrorStats {
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
+    fn metrics(&self) -> Vec<(String, u64)> {
         Vec::new()
     }
 

@@ -162,11 +162,6 @@ impl HardwareCost {
             data_entry_bits: DATA_BITS,
         }
     }
-
-    /// Both Doppelgänger structures for a configuration.
-    pub fn doppel_structures(&self, cfg: &DoppelgangerConfig) -> [StructureCost; 2] {
-        [self.doppel_tag_array(cfg), self.doppel_data_array(cfg)]
-    }
 }
 
 impl Default for HardwareCost {

@@ -338,13 +338,6 @@ impl MapSpace {
             MapHash::AvgStride => unreachable!("handled above"),
         }
     }
-
-    /// The number of floating-point operations one map generation costs
-    /// in hardware (paper §5.6: computing the average, the range and the
-    /// mapping step ≈ 21 FP multiply-adds for a 16-element block).
-    pub fn flops_per_generation() -> u32 {
-        21
-    }
 }
 
 impl Default for MapSpace {
@@ -556,11 +549,6 @@ mod tests {
     #[should_panic(expected = "map space")]
     fn rejects_zero_m() {
         MapSpace::new(0);
-    }
-
-    #[test]
-    fn flop_count_matches_paper() {
-        assert_eq!(MapSpace::flops_per_generation(), 21);
     }
 
     #[test]

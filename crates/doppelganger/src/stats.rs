@@ -1,48 +1,48 @@
 //! Doppelgänger cache statistics.
 
-use dg_obs::Snapshot;
 use std::fmt;
-use std::ops::AddAssign;
 
-/// Counters accumulated by a [`crate::DoppelgangerCache`].
-///
-/// The array-access counters (`tag_array_accesses`, `mtag_accesses`,
-/// `data_accesses`) and `map_generations` feed the dynamic-energy model
-/// (`dg-energy`); each map generation costs 21 FP operations at
-/// 8 pJ/op (paper §5.6).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DoppStats {
-    /// Lookups that found a tag.
-    pub hits: u64,
-    /// Lookups that found no tag.
-    pub misses: u64,
-    /// Blocks inserted after a miss.
-    pub insertions: u64,
-    /// Insertions that joined an existing (similar) data entry.
-    pub shared_insertions: u64,
-    /// Precise insertions (uniDoppelgänger only).
-    pub precise_insertions: u64,
-    /// Map computations (insertions + approximate writebacks).
-    pub map_generations: u64,
-    /// Tags invalidated for any reason.
-    pub tag_evictions: u64,
-    /// Data entries freed for any reason.
-    pub data_evictions: u64,
-    /// Tags invalidated because their data entry was evicted
-    /// (each triggers a back-invalidation across private caches).
-    pub back_invalidations: u64,
-    /// Writes (L2 writebacks) to resident blocks.
-    pub writes: u64,
-    /// Writes whose recomputed map was unchanged (§3.4 "silent").
-    pub silent_writes: u64,
-    /// Writes that moved the tag to a different data entry.
-    pub moved_writes: u64,
-    /// Tag-array probes (reads of a tag set).
-    pub tag_array_accesses: u64,
-    /// MTag-array probes.
-    pub mtag_accesses: u64,
-    /// Data-array accesses (block reads/writes).
-    pub data_accesses: u64,
+dg_obs::counters! {
+    /// Counters accumulated by a [`crate::DoppelgangerCache`].
+    ///
+    /// The array-access counters (`tag_array_accesses`, `mtag_accesses`,
+    /// `data_accesses`) and `map_generations` feed the dynamic-energy model
+    /// (`dg-energy`); each map generation costs 21 FP operations at
+    /// 8 pJ/op (paper §5.6).
+    pub struct DoppStats {
+        /// Lookups that found a tag.
+        hits,
+        /// Lookups that found no tag.
+        misses,
+        /// Blocks inserted after a miss.
+        insertions,
+        /// Insertions that joined an existing (similar) data entry.
+        shared_insertions,
+        /// Precise insertions (uniDoppelgänger only).
+        precise_insertions,
+        /// Map computations (insertions + approximate writebacks).
+        map_generations,
+        /// Tags invalidated for any reason.
+        tag_evictions,
+        /// Data entries freed for any reason.
+        data_evictions,
+        /// Tags invalidated because their data entry was evicted
+        /// (each triggers a back-invalidation across private caches).
+        back_invalidations,
+        /// Writes (L2 writebacks) to resident blocks.
+        writes,
+        /// Writes whose recomputed map was unchanged (§3.4 "silent").
+        silent_writes,
+        /// Writes that moved the tag to a different data entry.
+        moved_writes,
+        /// Tag-array probes (reads of a tag set).
+        tag_array_accesses,
+        /// MTag-array probes.
+        mtag_accesses,
+        /// Data-array accesses (block reads/writes).
+        data_accesses,
+    }
+    derived lookups;
 }
 
 impl DoppStats {
@@ -68,49 +68,6 @@ impl DoppStats {
         } else {
             self.shared_insertions as f64 / self.insertions as f64
         }
-    }
-}
-
-impl Snapshot for DoppStats {
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("hits", self.hits),
-            ("misses", self.misses),
-            ("insertions", self.insertions),
-            ("shared_insertions", self.shared_insertions),
-            ("precise_insertions", self.precise_insertions),
-            ("map_generations", self.map_generations),
-            ("tag_evictions", self.tag_evictions),
-            ("data_evictions", self.data_evictions),
-            ("back_invalidations", self.back_invalidations),
-            ("writes", self.writes),
-            ("silent_writes", self.silent_writes),
-            ("moved_writes", self.moved_writes),
-            ("tag_array_accesses", self.tag_array_accesses),
-            ("mtag_accesses", self.mtag_accesses),
-            ("data_accesses", self.data_accesses),
-            ("lookups", self.lookups()),
-        ]
-    }
-}
-
-impl AddAssign for DoppStats {
-    fn add_assign(&mut self, r: Self) {
-        self.hits += r.hits;
-        self.misses += r.misses;
-        self.insertions += r.insertions;
-        self.shared_insertions += r.shared_insertions;
-        self.precise_insertions += r.precise_insertions;
-        self.map_generations += r.map_generations;
-        self.tag_evictions += r.tag_evictions;
-        self.data_evictions += r.data_evictions;
-        self.back_invalidations += r.back_invalidations;
-        self.writes += r.writes;
-        self.silent_writes += r.silent_writes;
-        self.moved_writes += r.moved_writes;
-        self.tag_array_accesses += r.tag_array_accesses;
-        self.mtag_accesses += r.mtag_accesses;
-        self.data_accesses += r.data_accesses;
     }
 }
 

@@ -7,7 +7,9 @@
 # cargo doc with broken intra-doc links denied +
 # benchmark smoke run checked against benchmark/golden/* +
 # hermeticity + the surface ratchet (scripts/surface.sh --check against
-# scripts/surface.baseline) + differential oracle +
+# scripts/surface.baseline: lines, pub items, binaries, env reads,
+# LlcKind sites, hand-written counter impls, root artifacts) +
+# differential oracle +
 # byte-diff of deterministic exports across worker counts, whose
 # repro_all --small runs end with the paper-claims gate +
 # paper-scale repro_all byte-compared against repro_all_paper.txt +

@@ -11,6 +11,9 @@
 #   dg_env_reads         distinct "DG_*" string literals in code lines
 #   llckind_sites        lines naming LlcKind:: (examples, tests, benchmark/ included)
 #   llc_org_arms         lines naming an Llc:: or OracleLlc:: organization variant
+#   counter_impls        hand-written `impl ... Snapshot for` / `impl ... AddAssign for`
+#                        lines in code lines (what dg_obs::counters! generates is not counted)
+#   root_artifacts       *.txt, *.json and *.jsonl files at the repository root
 #
 # Line and pub measures are taken on each file as rustfmt lays it out
 # under the repository's rustfmt.toml, so they count code, not layout:
@@ -68,6 +71,11 @@ measure() {
   echo "dg_env_reads $env_reads"
   echo "llckind_sites $(grep -rn --include='*.rs' 'LlcKind::' crates src examples tests benchmark/src benchmark/tests | wc -l)"
   echo "llc_org_arms $(grep -rnE --include='*.rs' '\b(Oracle)?Llc::(Baseline|Split|Unified|Compressed)\b' crates | wc -l)"
+  local counter_impls
+  counter_impls=$(find crates/*/src src -name '*.rs' | sort | while read -r f; do code_part < "$f"; done \
+    | grep -E '^\s*impl\b.*\b(Snapshot|AddAssign) for [A-Za-z_]' | wc -l)
+  echo "counter_impls $counter_impls"
+  echo "root_artifacts $(find . -maxdepth 1 -type f \( -name '*.txt' -o -name '*.json' -o -name '*.jsonl' \) | wc -l)"
 }
 
 case "${1:-}" in
