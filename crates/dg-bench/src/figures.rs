@@ -366,22 +366,14 @@ pub fn compressed_storage(sweep: &mut Sweep, snaps: &[Vec<Snapshot>]) -> Table {
 /// the tag array, the MTag array, the data array and the
 /// map-generation FPUs.
 pub fn energy_breakdown(sweep: &mut Sweep) -> Table {
+    use dg_system::LlcStructure::*;
     let scale = sweep.scale();
     let results = sweep.run("split-m14-d1/4", scale.split_default());
     let mut t = Table::new(&["precise", "dopp tag", "MTag", "dopp data", "map FPUs"]);
     for (name, r) in kernel_names().iter().zip(results) {
         let b = r.energy.breakdown;
         let total = b.total_pj().max(1e-12);
-        t.row_pct(
-            name,
-            &[
-                b.precise_pj / total,
-                b.dopp_tag_pj / total,
-                b.mtag_pj / total,
-                b.dopp_data_pj / total,
-                b.map_pj / total,
-            ],
-        );
+        t.row_pct(name, &[Precise, DoppTag, MTag, DoppData, Map].map(|s| b.pj(s) / total));
     }
     t
 }

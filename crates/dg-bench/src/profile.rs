@@ -31,17 +31,6 @@ use dg_par::Pool;
 use dg_system::evaluate_profiled;
 use std::path::{Path, PathBuf};
 
-/// One profiled (configuration, kernel) evaluation, rendered.
-#[derive(Debug)]
-pub struct ProfileRow {
-    /// Configuration label from [`check_configs`].
-    pub config: &'static str,
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// The row as a JSON object at array-element depth.
-    pub json: String,
-}
-
 /// Everything one profiling pass produces, rendered and ready to write.
 #[derive(Debug)]
 pub struct ProfileArtifacts {
@@ -51,8 +40,6 @@ pub struct ProfileArtifacts {
     pub trace_json: String,
     /// The JSON-Lines event log.
     pub events_jsonl: String,
-    /// Rows in (configuration, kernel) grid order.
-    pub rows: Vec<ProfileRow>,
 }
 
 /// Run the full profiling grid at `Level::Trace` and render every
@@ -94,7 +81,7 @@ pub fn run_profile(scale: Scale) -> ProfileArtifacts {
                 .u64_field("off_chip_blocks", r.off_chip_blocks)
                 .f64_field("approx_fraction", r.approx_fraction)
                 .raw_field("metrics", &registry_json(&reg, 2));
-            rows.push(ProfileRow { config: label, kernel: r.kernel, json: o.finish() });
+            rows.push(o.finish());
         }
         eprintln!("[profile] finished configuration '{label}'");
     }
@@ -107,13 +94,12 @@ pub fn run_profile(scale: Scale) -> ProfileArtifacts {
     let mut doc = ObjectWriter::with_indent(0);
     doc.raw_field("meta", &meta.to_json(1))
         .u64_field("events_dropped", dg_obs::events_dropped())
-        .raw_field("rows", &array_document(&rows.iter().map(|r| r.json.clone()).collect::<Vec<_>>()));
+        .raw_field("rows", &array_document(&rows));
 
     ProfileArtifacts {
         profile_json: doc.finish(),
         trace_json: chrome_trace(&spans),
         events_jsonl: events_jsonl(&events),
-        rows,
     }
 }
 

@@ -52,8 +52,6 @@ pub fn sampling_params(scale: Scale) -> (u64, u64) {
 pub struct SampledRun {
     /// Configuration label from [`check_configs`].
     pub config: &'static str,
-    /// Kernel name.
-    pub kernel: &'static str,
     /// The reconstructed estimates.
     pub outcome: SampledOutcome,
 }
@@ -121,9 +119,9 @@ pub fn run_sampled_suite(scale: Scale, k: usize) -> SampledSweep {
     let mut outcomes = pool.run(jobs).into_iter();
     let mut runs = Vec::with_capacity(outcomes.len());
     for &(label, _) in &configs {
-        for kernel in kernels.iter() {
+        for _ in 0..kernels.len() {
             let outcome = outcomes.next().expect("one outcome per job");
-            runs.push(SampledRun { config: label, kernel: kernel.name(), outcome });
+            runs.push(SampledRun { config: label, outcome });
         }
     }
     SampledSweep { scale, k, runs, workers: pool.workers() }
@@ -363,7 +361,7 @@ mod tests {
         for (label, cfg) in configs {
             let outcome =
                 run_sampled(kernels[0].as_ref(), cfg, threads, &schedules[0], &goldens[0]);
-            runs.push(SampledRun { config: label, kernel: kernels[0].name(), outcome });
+            runs.push(SampledRun { config: label, outcome });
         }
         SampledSweep { scale, k: 3, runs, workers: pool.workers() }
     }

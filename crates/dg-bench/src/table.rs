@@ -88,37 +88,6 @@ impl Table {
         println!("\n== {title} ==\n");
         println!("{}", self.render());
     }
-
-    /// Render the table as CSV (header row + one row per benchmark),
-    /// for spreadsheet or plotting pipelines.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("benchmark");
-        for h in &self.header {
-            out.push(',');
-            out.push_str(h);
-        }
-        out.push('\n');
-        for (label, cells) in &self.rows {
-            out.push_str(label);
-            for c in cells {
-                out.push(',');
-                out.push_str(&c.replace(',', ";"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The column titles.
-    pub fn columns(&self) -> &[String] {
-        &self.header
-    }
-
-    /// The row labels, in insertion order.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.rows.iter().map(|(l, _)| l.as_str())
-    }
 }
 
 #[cfg(test)]
@@ -138,18 +107,6 @@ mod tests {
         assert!(lines.len() >= 4);
         // Header and rows share one width.
         assert_eq!(lines[0].len(), lines[2].len());
-    }
-
-    #[test]
-    fn csv_round_trips_cells() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row_pct("bench1", &[0.5, 0.123]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.starts_with("benchmark,a,b"));
-        assert!(csv.contains("bench1,50.0%,12.3%"));
-        assert_eq!(t.columns().len(), 2);
-        assert_eq!(t.labels().collect::<Vec<_>>(), vec!["bench1"]);
     }
 
     #[test]

@@ -13,17 +13,16 @@
 //!
 //! The crate also carries the paper's map-generation overhead constants
 //! (eight FP multiply-add units, 0.01 mm² and 8 pJ/op each; 21 ops per
-//! map → 168 pJ per generation, §4/§5.6) and an [`EnergyAccount`]
-//! accumulator that turns activity counts into joules.
+//! map → 168 pJ per generation, §4/§5.6), the BΔI codec cost and
+//! [`leakage_pj`]. Dynamic energy is priced in `dg-system`, whose
+//! per-array cost tables pair these numbers with the run's counters.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod account;
 mod model;
 mod paper;
 
-pub use account::EnergyAccount;
 pub use model::{ArrayCost, CactiLite, StructureEstimate};
 pub use paper::{PaperStructure, PAPER_TABLE3};
 
@@ -54,6 +53,13 @@ pub const MAP_UNITS_AREA_MM2: f64 = FPU_COUNT as f64 * FPU_AREA_MM2;
 /// FPU-op's worth is a conservative stand-in at this fidelity.
 pub const BDI_CODEC_PJ: f64 = 8.0;
 
+/// Leakage energy in pJ for `leakage_mw` milliwatts sustained over
+/// `cycles` cycles at `freq_ghz` GHz (mW × ns = pJ).
+pub fn leakage_pj(leakage_mw: f64, cycles: u64, freq_ghz: f64) -> f64 {
+    let ns = cycles as f64 / freq_ghz;
+    leakage_mw * ns
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,5 +68,13 @@ mod tests {
     fn map_overhead_constants_match_paper() {
         assert_eq!(MAP_ENERGY_PJ, 168.0);
         assert!((MAP_UNITS_AREA_MM2 - 0.08).abs() < 1e-12);
+    }
+
+    #[test]
+    fn leakage_units() {
+        // 1 mW over 1 ns is 1 pJ.
+        assert_eq!(leakage_pj(1.0, 1, 1.0), 1.0);
+        // Halving frequency doubles wall time and thus leakage energy.
+        assert_eq!(leakage_pj(1.0, 100, 0.5), 200.0);
     }
 }

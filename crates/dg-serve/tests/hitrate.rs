@@ -6,6 +6,8 @@
 //! those layers moves the measured rate out of the band.
 
 use dg_serve::{ServeConfig, Server, SimilarityWorkload, WorkloadSpec};
+use doppelganger::DoppelgangerConfig;
+use std::collections::BTreeSet;
 
 #[test]
 fn measured_hit_rate_matches_che_estimate() {
@@ -85,4 +87,43 @@ fn skew_moves_measured_and_predicted_rates_together() {
     }
     assert!(rates[1].0 > rates[0].0, "model: skew must raise the predicted rate: {rates:?}");
     assert!(rates[1].1 > rates[0].1, "system: skew must raise the measured rate: {rates:?}");
+}
+
+#[test]
+fn when_everything_fits_only_first_touches_miss() {
+    // The exact limit of the gate above: per-shard arrays far larger
+    // than the live keys (512) and bins (at most 64 clusters x 4
+    // shards), so nothing is ever displaced. From a cold start, each
+    // (shard, cluster) bin misses once, on its first query, and every
+    // later query hits, exactly or by similarity.
+    let cfg = ServeConfig {
+        cache: DoppelgangerConfig {
+            tag_entries: 4096,
+            tag_ways: 16,
+            data_entries: 1024,
+            data_ways: 16,
+            ..ServeConfig::small().cache
+        },
+        ..ServeConfig::small()
+    };
+    let spec = WorkloadSpec { universe: 512, clusters: 64, ..WorkloadSpec::tier1() };
+    let server = Server::new(cfg).unwrap();
+    let mut workload = SimilarityWorkload::new(spec, &cfg);
+    assert_eq!(workload.expected_hit_rate(&server).hit_rate, 1.0, "the model's limit");
+
+    let mut bins = BTreeSet::new();
+    for _ in 0..20 {
+        let batch = workload.batch(1000);
+        for r in &batch {
+            // Keys are striped over clusters: key ≡ cluster (mod clusters).
+            bins.insert((server.shard_of(r.key()), r.key() % spec.clusters as u64));
+        }
+        server.run_batch(&batch);
+    }
+    server.check_invariants();
+
+    let stats = server.stats();
+    assert_eq!(stats.displaced, 0, "the arrays must hold every key and bin");
+    assert_eq!(stats.lookups(), 20_000);
+    assert_eq!(stats.hits(), stats.lookups() - bins.len() as u64);
 }

@@ -1,7 +1,10 @@
 //! System configuration (paper Table 1).
 
+use crate::{CostRow, CostTable, LlcStructure};
 use dg_cache::{CacheGeometry, CompressedConfig, Sharers};
-use doppelganger::{DataPolicy, DoppelgangerConfig};
+use dg_energy::{CactiLite, BDI_CODEC_PJ, MAP_ENERGY_PJ, MAP_UNITS_AREA_MM2};
+use dg_mem::BLOCK_OFFSET_BITS;
+use doppelganger::{DataPolicy, DoppelgangerConfig, HardwareCost};
 
 /// Which LLC organization the system simulates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,6 +83,84 @@ impl ArrayConfig {
                 }
             }
             ArrayConfig::Compressed(c) => c.validate().map_err(|e| format!("compressed LLC: {e}")),
+        }
+    }
+
+    /// The array's CACTI-lite cost table. [`crate::llc_energy`] sums the
+    /// rows in the order given here, so that order fixes every bit of
+    /// the energy figures.
+    pub fn cost_table(&self, hw: &HardwareCost) -> CostTable {
+        use LlcStructure::*;
+        let model = CactiLite::new();
+        let kb = |bits: u64| bits as f64 / 8.0 / 1024.0;
+        let row =
+            |structure, counters: &'static [&'static str], pj| CostRow { structure, counters, pj };
+        match *self {
+            ArrayConfig::Conventional { bytes, ways } => {
+                let cost = hw.conventional("llc", bytes, ways);
+                let est =
+                    model.structure(kb(cost.tag_bits_total()), Some(kb(cost.data_bits_total())));
+                let data_pj = est.data.expect("has data").read_energy_pj;
+                CostTable {
+                    rows: vec![
+                        row(Precise, &["precise_tag_accesses"], est.tag.read_energy_pj),
+                        row(Precise, &["precise_data_accesses"], data_pj),
+                    ],
+                    leakage_mw: est.leakage_mw,
+                    area_mm2: est.area_mm2(),
+                    kbytes: cost.total_kbytes(),
+                }
+            }
+            ArrayConfig::Doppelganger(d, _) => {
+                let (tag_cost, data_cost) = (hw.doppel_tag_array(&d), hw.doppel_data_array(&d));
+                let tag_kb = tag_cost.total_kbytes();
+                let mtag_kb = kb(data_cost.tag_bits_total());
+                let data_kb = kb(data_cost.data_bits_total());
+                let (tag, mtag) = (model.tag_array(tag_kb), model.tag_array(mtag_kb));
+                let data = model.data_array(data_kb);
+                CostTable {
+                    rows: vec![
+                        row(DoppTag, &["dopp.tag_array_accesses"], tag.read_energy_pj),
+                        row(MTag, &["dopp.mtag_accesses"], mtag.read_energy_pj),
+                        row(DoppData, &["dopp.data_accesses"], data.read_energy_pj),
+                        row(Map, &["dopp.map_generations"], MAP_ENERGY_PJ),
+                    ],
+                    leakage_mw: model.structure(tag_kb + mtag_kb, Some(data_kb)).leakage_mw,
+                    area_mm2: tag.area_mm2 + mtag.area_mm2 + data.area_mm2 + MAP_UNITS_AREA_MM2,
+                    kbytes: tag_cost.total_kbytes() + data_cost.total_kbytes(),
+                }
+            }
+            // A superblock tag entry holds the shared tag, `sb_blocks` ×
+            // (valid + dirty + segment count) and an 8-bit LRU stamp; the
+            // data array is the full segment budget. A segment access
+            // costs a `segment_bytes / 64` share of a line read (a power
+            // of two, so pre-multiplying it is exact), and every codec
+            // pass (compression, recompression, decompression) costs
+            // `BDI_CODEC_PJ`.
+            ArrayConfig::Compressed(c) => {
+                let log2 = |n: usize| n.trailing_zeros() as u64;
+                let sb_tag_bits = hw.addr_bits as u64
+                    - BLOCK_OFFSET_BITS as u64
+                    - log2(c.sb_blocks)
+                    - log2(c.sets);
+                let seg_count_bits = (usize::BITS - c.max_block_segments().leading_zeros()) as u64;
+                let tag_entry_bits = sb_tag_bits + c.sb_blocks as u64 * (2 + seg_count_bits) + 8;
+                let tag_kb = kb(c.sets as u64 * c.tag_ways as u64 * tag_entry_bits);
+                let data_kb = c.data_bytes as f64 / 1024.0;
+                let (tag, data) = (model.tag_array(tag_kb), model.data_array(data_kb));
+                let seg_pj = data.read_energy_pj * (c.segment_bytes as f64 / 64.0);
+                let codec = &["comp.compressions", "comp.recompressions", "comp.decompressions"];
+                CostTable {
+                    rows: vec![
+                        row(Precise, &["comp.tag_accesses"], tag.read_energy_pj),
+                        row(Precise, &["comp.data_seg_accesses"], seg_pj),
+                        row(Codec, codec, BDI_CODEC_PJ),
+                    ],
+                    leakage_mw: model.structure(tag_kb, Some(data_kb)).leakage_mw,
+                    area_mm2: tag.area_mm2 + data.area_mm2,
+                    kbytes: tag_kb + data_kb,
+                }
+            }
         }
     }
 }

@@ -1,14 +1,13 @@
-//! LLC energy and area accounting (Figs. 11, 13).
+//! LLC energy and area accounting (Figs. 11, 13): each array's cost
+//! table ([`crate::ArrayConfig::cost_table`]) dotted with the run's counters.
 
-use crate::{ArrayConfig, LlcCounters, SystemConfig};
-use dg_cache::CompressedConfig;
-use dg_energy::{CactiLite, EnergyAccount, BDI_CODEC_PJ, MAP_ENERGY_PJ, MAP_UNITS_AREA_MM2};
-use dg_mem::BLOCK_OFFSET_BITS;
+use crate::{LlcCounters, SystemConfig};
+use dg_energy::leakage_pj;
 use doppelganger::HardwareCost;
 
 /// Energy/area summary for one run's LLC (baseline: the 2 MB cache;
 /// split: precise + Doppelgänger caches together, as the paper reports).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnergyReport {
     /// Dynamic LLC energy, pJ.
     pub llc_dynamic_pj: f64,
@@ -23,36 +22,6 @@ pub struct EnergyReport {
     pub breakdown: EnergyBreakdown,
 }
 
-/// Per-component split of the dynamic LLC energy.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct EnergyBreakdown {
-    /// Conventional portion (baseline LLC, precise cache, or the
-    /// compressed organization's tag + data arrays), pJ.
-    pub precise_pj: f64,
-    /// Doppelgänger tag-array probes, pJ.
-    pub dopp_tag_pj: f64,
-    /// MTag-array probes, pJ.
-    pub mtag_pj: f64,
-    /// Approximate data-array accesses, pJ.
-    pub dopp_data_pj: f64,
-    /// Map-generation FPU work (168 pJ per map, §5.6), pJ.
-    pub map_pj: f64,
-    /// BΔI (de)compression passes (compressed LLC only), pJ.
-    pub codec_pj: f64,
-}
-
-impl EnergyBreakdown {
-    /// Total across components, pJ.
-    pub fn total_pj(&self) -> f64 {
-        self.precise_pj
-            + self.dopp_tag_pj
-            + self.mtag_pj
-            + self.dopp_data_pj
-            + self.map_pj
-            + self.codec_pj
-    }
-}
-
 impl EnergyReport {
     /// Total (dynamic + leakage) LLC energy, pJ.
     pub fn total_pj(&self) -> f64 {
@@ -60,138 +29,90 @@ impl EnergyReport {
     }
 }
 
-fn kb(bits: u64) -> f64 {
-    bits as f64 / 8.0 / 1024.0
+/// The LLC structure a [`CostRow`] charges: one column of the energy
+/// breakdown.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LlcStructure {
+    /// Conventional arrays: the baseline LLC, the precise cache, or the
+    /// compressed organization's tag and data arrays.
+    Precise,
+    /// Doppelgänger tag array.
+    DoppTag,
+    /// MTag array.
+    MTag,
+    /// Approximate data array.
+    DoppData,
+    /// Map-generation FPUs (168 pJ per map, §5.6).
+    Map,
+    /// BΔI (de)compression passes (compressed LLC only).
+    Codec,
 }
 
-/// Compute the LLC energy/area for a finished run.
+/// One priced event: the sum of `counters` (names from
+/// [`LlcCounters::names`]) times `pj`.
+#[derive(Clone, Debug)]
+pub struct CostRow {
+    /// The structure the energy is charged to.
+    pub structure: LlcStructure,
+    /// The counters whose sum counts the event.
+    pub counters: &'static [&'static str],
+    /// Energy per event, pJ.
+    pub pj: f64,
+}
+
+/// One array's CACTI-lite costs: its priced events, in summation order,
+/// and its static terms.
+#[derive(Clone, Debug)]
+pub struct CostTable {
+    /// Dynamic-energy rows, summed in this order.
+    pub rows: Vec<CostRow>,
+    /// Leakage power, mW.
+    pub leakage_mw: f64,
+    /// Area, mm².
+    pub area_mm2: f64,
+    /// Storage, KB.
+    pub kbytes: f64,
+}
+
+/// Dynamic LLC energy per [`LlcStructure`], the sum of its rows.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct EnergyBreakdown([f64; 6]);
+
+impl EnergyBreakdown {
+    /// Energy charged to `structure`, pJ.
+    pub fn pj(&self, structure: LlcStructure) -> f64 {
+        self.0[structure as usize]
+    }
+
+    /// Total across structures, pJ.
+    pub fn total_pj(&self) -> f64 {
+        self.0.iter().sum()
+    }
+}
+
+/// Compute the LLC energy/area for a finished run: every array's rows
+/// in order (main array first), then the static terms.
 pub fn llc_energy(cfg: &SystemConfig, counters: &LlcCounters, cycles: u64) -> EnergyReport {
-    let model = CactiLite::new();
     let hw = HardwareCost { addr_bits: 32, cores: cfg.cores as u32 };
-    let mut dynamic = EnergyAccount::new();
-    let mut breakdown = EnergyBreakdown::default();
-    let mut leak_mw = 0.0;
-    let mut area = 0.0;
-    let mut total_kb = 0.0;
-
-    // Main array first: the conventional array's share is read off the
-    // running total before any other array adds to it.
-    for array in cfg.llc_arrays().iter() {
-        let (l, a, k) = match array {
-            &ArrayConfig::Conventional { bytes, ways } => {
-                let cost = hw.conventional("llc", bytes, ways);
-                let est =
-                    model.structure(kb(cost.tag_bits_total()), Some(kb(cost.data_bits_total())));
-                dynamic.add(counters.precise_tag_accesses, est.tag.read_energy_pj);
-                dynamic.add(
-                    counters.precise_data_accesses,
-                    est.data.expect("has data").read_energy_pj,
-                );
-                breakdown.precise_pj = dynamic.dynamic_pj();
-                (est.leakage_mw, est.area_mm2(), cost.total_kbytes())
-            }
-            ArrayConfig::Doppelganger(dopp, _) => {
-                add_doppel(&model, &hw, dopp, counters, &mut dynamic, &mut breakdown)
-            }
-            ArrayConfig::Compressed(comp) => {
-                add_compressed(&model, &hw, comp, counters, &mut dynamic, &mut breakdown)
-            }
-        };
-        leak_mw += l;
-        area += a;
-        total_kb += k;
+    let (names, values) = (LlcCounters::names(), counters.values());
+    let count = |name: &str| match names.iter().position(|n| n == name) {
+        Some(at) => values[at],
+        None => panic!("no LLC counter named {name}"),
+    };
+    let mut report = EnergyReport::default();
+    let mut leakage_mw = 0.0;
+    for table in cfg.llc_arrays().iter().map(|a| a.cost_table(&hw)) {
+        for row in &table.rows {
+            let pj = row.counters.iter().map(|n| count(n)).sum::<u64>() as f64 * row.pj;
+            report.llc_dynamic_pj += pj;
+            report.breakdown.0[row.structure as usize] += pj;
+        }
+        leakage_mw += table.leakage_mw;
+        report.llc_area_mm2 += table.area_mm2;
+        report.llc_kbytes += table.kbytes;
     }
-
-    EnergyReport {
-        llc_dynamic_pj: dynamic.dynamic_pj(),
-        llc_leakage_pj: EnergyAccount::leakage_pj(leak_mw, cycles, cfg.freq_ghz),
-        llc_area_mm2: area,
-        llc_kbytes: total_kb,
-        breakdown,
-    }
-}
-
-/// Add the Doppelgänger arrays' contributions; returns
-/// `(leakage_mw, area_mm2, kbytes)`.
-fn add_doppel(
-    model: &CactiLite,
-    hw: &HardwareCost,
-    dopp: &doppelganger::DoppelgangerConfig,
-    counters: &LlcCounters,
-    dynamic: &mut EnergyAccount,
-    breakdown: &mut EnergyBreakdown,
-) -> (f64, f64, f64) {
-    let tag_cost = hw.doppel_tag_array(dopp);
-    let data_cost = hw.doppel_data_array(dopp);
-    let tag_kb = tag_cost.total_kbytes();
-    let mtag_kb = kb(data_cost.tag_bits_total());
-    let data_kb = kb(data_cost.data_bits_total());
-
-    let tag_est = model.tag_array(tag_kb);
-    let mtag_est = model.tag_array(mtag_kb);
-    let data_est = model.data_array(data_kb);
-
-    dynamic.add(counters.dopp.tag_array_accesses, tag_est.read_energy_pj);
-    dynamic.add(counters.dopp.mtag_accesses, mtag_est.read_energy_pj);
-    dynamic.add(counters.dopp.data_accesses, data_est.read_energy_pj);
-    dynamic.add(counters.dopp.map_generations, MAP_ENERGY_PJ);
-    breakdown.dopp_tag_pj = counters.dopp.tag_array_accesses as f64 * tag_est.read_energy_pj;
-    breakdown.mtag_pj = counters.dopp.mtag_accesses as f64 * mtag_est.read_energy_pj;
-    breakdown.dopp_data_pj = counters.dopp.data_accesses as f64 * data_est.read_energy_pj;
-    breakdown.map_pj = counters.dopp.map_generations as f64 * MAP_ENERGY_PJ;
-
-    let est = model.structure(tag_kb + mtag_kb, Some(data_kb));
-    (
-        est.leakage_mw,
-        tag_est.area_mm2 + mtag_est.area_mm2 + data_est.area_mm2 + MAP_UNITS_AREA_MM2,
-        tag_cost.total_kbytes() + data_cost.total_kbytes(),
-    )
-}
-
-/// Add the compressed organization's contributions; returns
-/// `(leakage_mw, area_mm2, kbytes)`.
-///
-/// The superblock tag array stores, per entry, the shared superblock
-/// tag plus `sb_blocks` × (valid + dirty + segment-count) state and an
-/// LRU stamp; the data array is the full segment budget. Segment
-/// accesses are charged a `segment_bytes / 64` fraction of a full-line
-/// data read, and every codec pass (compression, re-compression,
-/// decompression) costs [`BDI_CODEC_PJ`].
-fn add_compressed(
-    model: &CactiLite,
-    hw: &HardwareCost,
-    comp: &CompressedConfig,
-    counters: &LlcCounters,
-    dynamic: &mut EnergyAccount,
-    breakdown: &mut EnergyBreakdown,
-) -> (f64, f64, f64) {
-    let log2 = |n: usize| n.trailing_zeros() as u64;
-    let sb_tag_bits = hw.addr_bits as u64
-        - BLOCK_OFFSET_BITS as u64
-        - log2(comp.sb_blocks)
-        - log2(comp.sets);
-    let seg_count_bits = (usize::BITS - comp.max_block_segments().leading_zeros()) as u64;
-    let per_block_state = 2 + seg_count_bits; // valid + dirty + size
-    let lru_bits = 8;
-    let tag_entry_bits = sb_tag_bits + comp.sb_blocks as u64 * per_block_state + lru_bits;
-    let tag_kb = kb(comp.sets as u64 * comp.tag_ways as u64 * tag_entry_bits);
-    let data_kb = comp.data_bytes as f64 / 1024.0;
-
-    let tag_est = model.tag_array(tag_kb);
-    let data_est = model.data_array(data_kb);
-    let seg_frac = comp.segment_bytes as f64 / 64.0;
-    let codec_passes =
-        counters.comp.compressions + counters.comp.recompressions + counters.comp.decompressions;
-
-    dynamic.add(counters.comp.tag_accesses, tag_est.read_energy_pj);
-    dynamic.add(counters.comp.data_seg_accesses, data_est.read_energy_pj * seg_frac);
-    dynamic.add(codec_passes, BDI_CODEC_PJ);
-    breakdown.precise_pj = counters.comp.tag_accesses as f64 * tag_est.read_energy_pj
-        + counters.comp.data_seg_accesses as f64 * data_est.read_energy_pj * seg_frac;
-    breakdown.codec_pj = codec_passes as f64 * BDI_CODEC_PJ;
-
-    let est = model.structure(tag_kb, Some(data_kb));
-    (est.leakage_mw, tag_est.area_mm2 + data_est.area_mm2, tag_kb + data_kb)
+    report.llc_leakage_pj = leakage_pj(leakage_mw, cycles, cfg.freq_ghz);
+    report
 }
 
 /// LLC area for a configuration (no activity needed) — Fig. 13's
@@ -268,8 +189,8 @@ mod tests {
         c.dopp.map_generations = 30;
         let e = llc_energy(&cfg, &c, 0);
         assert!((e.breakdown.total_pj() - e.llc_dynamic_pj).abs() < 1e-6);
-        assert!(e.breakdown.map_pj == 30.0 * dg_energy::MAP_ENERGY_PJ);
-        assert!(e.breakdown.precise_pj > 0.0);
+        assert!(e.breakdown.pj(LlcStructure::Map) == 30.0 * dg_energy::MAP_ENERGY_PJ);
+        assert!(e.breakdown.pj(LlcStructure::Precise) > 0.0);
     }
 
     #[test]
@@ -305,9 +226,13 @@ mod tests {
         c.comp.decompressions = 40;
         let e = llc_energy(&cfg, &c, 0);
         assert!((e.breakdown.total_pj() - e.llc_dynamic_pj).abs() < 1e-6);
-        assert_eq!(e.breakdown.codec_pj, 100.0 * dg_energy::BDI_CODEC_PJ);
-        assert!(e.breakdown.precise_pj > 0.0);
-        assert_eq!(e.breakdown.map_pj, 0.0, "no map generation in the compressed LLC");
+        assert_eq!(e.breakdown.pj(LlcStructure::Codec), 100.0 * dg_energy::BDI_CODEC_PJ);
+        assert!(e.breakdown.pj(LlcStructure::Precise) > 0.0);
+        assert_eq!(
+            e.breakdown.pj(LlcStructure::Map),
+            0.0,
+            "no map generation in the compressed LLC"
+        );
     }
 
     #[test]

@@ -44,7 +44,9 @@ mod system;
 
 pub use array::LlcArray;
 pub use config::{ArrayConfig, LlcArrays, LlcKind, SystemConfig};
-pub use energy::{llc_area_mm2, llc_energy, EnergyBreakdown, EnergyReport};
+pub use energy::{
+    llc_area_mm2, llc_energy, CostRow, CostTable, EnergyBreakdown, EnergyReport, LlcStructure,
+};
 pub use llc::{Llc, LlcAccess, LlcCounters};
 pub use replay::{capture_trace, replay, replay_batched};
 pub use runner::{

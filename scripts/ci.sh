@@ -18,7 +18,9 @@
 # monitored-serve smoke asserting the telemetry plane
 # flags an injected anomaly without steady-state false positives +
 # sampled-simulation gate against full-coverage references with
-# byte-diff determinism across runs and worker counts)
+# byte-diff determinism across runs and worker counts +
+# the oracle and sampled gates again under the `checked` profile,
+# debug assertions and overflow checks on)
 # so that CI, pre-commit hooks, and humans all run the *same* check —
 # there is no CI-only logic to drift out of sync with local
 # verification.

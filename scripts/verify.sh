@@ -167,3 +167,12 @@ DG_PAR_THREADS=1 cargo run --release --offline -q -p dg-bench --bin repro_all --
 cmp "$profile_dir/sampled_a.json" "$profile_dir/sampled_b.json"
 cmp "$profile_dir/sampled_a.json" "$profile_dir/sampled_serial.json"
 echo "ok: sampled exports byte-identical across runs and worker counts"
+
+echo "== checked release: oracle and sampled gates with debug assertions and overflow checks =="
+# The same two gates under the `checked` profile (Cargo.toml: release
+# code generation with debug-assertions and overflow-checks on), so an
+# assertion or an integer overflow that the release build compiles out
+# fails here. Builds into target/checked.
+cargo run --profile checked --offline -q -p dg-bench --bin repro_all -- --small --check
+cargo run --profile checked --offline -q -p dg-bench --bin repro_all -- --small --sampled-check
+echo "ok: no assertion or overflow fired in the checked build"
