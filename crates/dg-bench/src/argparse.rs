@@ -1,14 +1,13 @@
-//! Strict-parsing building blocks shared by every bench binary.
+//! Strict-parsing building blocks shared by the bench binaries.
 //!
-//! `repro_all`, `serve_bench`, `serve_monitor`, `trace_tool` and
-//! `validate_profile` each match their arguments against a
-//! closed set — anything unknown, duplicated or malformed aborts with a
-//! usage message and exit status [`USAGE_EXIT`] instead of being
-//! silently ignored. The mechanics of that contract (duplicate
-//! detection, value-taking flags, `--flag=VALUE` forms, the error
-//! formatting on exit) used to be duplicated per binary and had already
-//! drifted in small ways; they live here once so a fix to one parser is
-//! a fix to all.
+//! `repro_all`, `serve_bench`, `serve_monitor` and `trace_tool` each
+//! match their arguments against a closed set — anything unknown,
+//! duplicated or malformed aborts with a usage message and exit status
+//! [`USAGE_EXIT`] instead of being silently ignored. The mechanics of
+//! that contract (duplicate detection, value-taking flags,
+//! `--flag=VALUE` forms, the error formatting on exit) used to be
+//! duplicated per binary and had already drifted in small ways; they
+//! live here once so a fix to one parser is a fix to all.
 
 /// Exit status used for command-line errors (the conventional
 /// `EX_USAGE`-adjacent value distinct from runtime failures' `1`).

@@ -1,7 +1,7 @@
 //! Runs every table and figure of the paper's evaluation in one pass,
 //! sharing simulation runs between figures. This is the binary that
-//! generates the data recorded in EXPERIMENTS.md (`repro_all_paper.txt`
-//! is its paper-scale stdout).
+//! generates the data recorded in EXPERIMENTS.md
+//! (`artifacts/repro_all_paper.txt` is its paper-scale stdout).
 //!
 //! Usage:
 //! `cargo run --release -p dg-bench --bin repro_all [--small | --medium] [--check] [--sampled[=K]] [--sampled-check] [--profile[=PATH]] [--json PATH]`
@@ -25,7 +25,8 @@
 //! the same configuration grid at full observability instead of the
 //! figures, writing `PROFILE_repro.json` (or `PATH`) plus a
 //! Chrome-trace timeline and a JSONL event log next to it (see
-//! `dg_bench::profile`). `--json PATH` additionally exports every
+//! `dg_bench::profile`); the profile is validated before anything is
+//! written, and an invalid one exits 1. `--json PATH` additionally exports every
 //! evaluation as a JSON array of result rows. Wall-clock is measured by
 //! `benchmark/run.sh`, not here (`benchmark/README.md`).
 //!

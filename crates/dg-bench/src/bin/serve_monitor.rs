@@ -2,7 +2,6 @@
 //!
 //! Usage:
 //! `cargo run --release -p dg-bench --bin serve_monitor [--smoke] [--json PATH] [--incident PATH]`
-//! or `serve_monitor [--validate PATH] [--validate-incident PATH]`
 //!
 //! Drives a sharded `dg-serve` server under the `dg-obs` windowed
 //! monitor: a steady Zipf-over-similarity phase whose per-shard hit
@@ -13,28 +12,20 @@
 //! alarms must include the hit-rate drift detector (the watermark
 //! detector may fire alongside it; anything else is a failure). On
 //! detection the flight recorder is dumped to an incident JSONL file
-//! with full provenance. Exit status: 0 when every gate holds, 1
-//! otherwise, 2 on a usage error.
+//! with full provenance. Both documents are validated before either is
+//! written (`artifacts/MONITOR_serve.json` and
+//! `artifacts/INCIDENT_serve.jsonl` by default). Exit status: 0 when
+//! every gate holds, 1 otherwise or on an invalid document, 2 on a
+//! usage error.
 
 use dg_bench::argparse::usage_error;
-use dg_bench::monitor::{self, MonitorArgs};
 use dg_bench::meta::RunMeta;
+use dg_bench::monitor::{self, MonitorArgs};
 
-fn validate_file(path: &str, what: &str, check: impl Fn(&str) -> Result<(), String>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("serve_monitor: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match check(&text) {
-        Ok(()) => eprintln!("[serve_monitor] {path}: {what} shape OK"),
-        Err(e) => {
-            eprintln!("serve_monitor: {path}: invalid {what}: {e}");
-            std::process::exit(1);
-        }
-    }
+/// Print `msg` and exit 1.
+fn fail(msg: String) -> ! {
+    eprintln!("serve_monitor: {msg}");
+    std::process::exit(1);
 }
 
 fn main() {
@@ -42,16 +33,6 @@ fn main() {
         Ok(a) => a,
         Err(e) => usage_error("serve_monitor", &e, MonitorArgs::USAGE),
     };
-
-    if args.validate.is_some() || args.validate_incident.is_some() {
-        if let Some(path) = args.validate.as_deref() {
-            validate_file(path, "report", monitor::validate_monitor_report);
-        }
-        if let Some(path) = args.validate_incident.as_deref() {
-            validate_file(path, "incident", monitor::validate_incident);
-        }
-        return;
-    }
 
     eprintln!(
         "[serve_monitor] running {} monitored serve",
@@ -71,21 +52,26 @@ fn main() {
         }
     }
 
-    let report_path = args.json.as_deref().unwrap_or("MONITOR_serve.json");
-    let report = monitor::report_json(args.scale(), &out);
-    if let Err(e) = std::fs::write(report_path, report + "\n") {
-        eprintln!("serve_monitor: failed to write {report_path}: {e}");
-        std::process::exit(1);
+    let report_path = args.json.as_deref().unwrap_or("artifacts/MONITOR_serve.json");
+    let incident_path = args.incident.as_deref().unwrap_or("artifacts/INCIDENT_serve.jsonl");
+    let report = monitor::report_json(args.scale(), &out) + "\n";
+    let jsonl =
+        out.incident.as_ref().map(|i| monitor::incident_jsonl(&RunMeta::capture(args.scale()), i));
+    // Both documents are validated before either is written, so an
+    // invalid one never leaves a mismatched report/incident pair.
+    if let Err(e) = monitor::validate_monitor_report(&report) {
+        fail(format!("invalid report, nothing written: {e}"));
     }
+    if let Err(e) = jsonl.as_deref().map_or(Ok(()), monitor::validate_incident) {
+        fail(format!("invalid incident, nothing written: {e}"));
+    }
+    let write = |path: &str, text: &str| {
+        std::fs::write(path, text).unwrap_or_else(|e| fail(format!("failed to write {path}: {e}")));
+    };
+    write(report_path, &report);
     eprintln!("[serve_monitor] wrote {report_path}");
-
-    if let Some(incident) = out.incident.as_ref() {
-        let incident_path = args.incident.as_deref().unwrap_or("INCIDENT_serve.jsonl");
-        let jsonl = monitor::incident_jsonl(&RunMeta::capture(args.scale()), incident);
-        if let Err(e) = std::fs::write(incident_path, jsonl) {
-            eprintln!("serve_monitor: failed to write {incident_path}: {e}");
-            std::process::exit(1);
-        }
+    if let (Some(incident), Some(jsonl)) = (out.incident.as_ref(), jsonl.as_deref()) {
+        write(incident_path, jsonl);
         eprintln!(
             "[serve_monitor] wrote {incident_path} ({} alarms, {} windows, {} events)",
             incident.alarms.len(),

@@ -90,6 +90,32 @@ impl Json {
     }
 }
 
+// Field readers for the artifact validators: each names the field as
+// `{what}.{key}` in its error.
+
+pub(crate) fn req_u64(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
+    obj.get(key).and_then(Json::as_u64).ok_or(format!("{what}.{key} missing or not a u64"))
+}
+
+pub(crate) fn req_f64(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
+    obj.get(key).and_then(Json::as_f64).ok_or(format!("{what}.{key} missing or not a number"))
+}
+
+pub(crate) fn req_str<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a str, String> {
+    obj.get(key).and_then(Json::as_str).ok_or(format!("{what}.{key} missing or not a string"))
+}
+
+/// `null` or a u64; rejects anything else.
+pub(crate) fn opt_u64_field(obj: &Json, key: &str, what: &str) -> Result<Option<u64>, String> {
+    match obj.get(key) {
+        Some(Json::Null) => Ok(None),
+        Some(v) => {
+            Ok(Some(v.as_u64().ok_or(format!("{what}.{key} is neither null nor a u64"))?))
+        }
+        None => Err(format!("{what}.{key} missing")),
+    }
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

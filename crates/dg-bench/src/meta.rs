@@ -10,7 +10,7 @@
 //! subprocess — the git SHA is read straight out of `.git/`.
 
 use crate::experiments::Scale;
-use crate::json::ObjectWriter;
+use crate::json::{req_str, req_u64, Json, ObjectWriter};
 use std::path::Path;
 
 /// Provenance for one exported artifact.
@@ -60,6 +60,17 @@ impl RunMeta {
             .str_field("simd", self.simd);
         o.finish()
     }
+}
+
+/// The provenance check every artifact validator shares: `meta` names
+/// the revision, scale and host as strings and the worker count as an
+/// integer. Errors name the field as `{what}.{key}`.
+pub(crate) fn validate_meta(meta: &Json, what: &str) -> Result<(), String> {
+    for field in ["git_sha", "scale", "host"] {
+        req_str(meta, field, what)?;
+    }
+    req_u64(meta, "threads", what)?;
+    Ok(())
 }
 
 /// Resolve HEAD to a commit SHA by reading the repository files
@@ -160,7 +171,6 @@ fn common_dir(git_dir: &Path) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
 
     #[test]
     fn capture_renders_valid_json() {

@@ -14,7 +14,8 @@
 //! incident file in JSON Lines, stamped with full [`RunMeta`]
 //! provenance.
 //!
-//! Two artifacts, both validated by this module:
+//! Two artifacts, each validated by `serve_monitor` before it is
+//! written (the committed full-scale pair lives under `artifacts/`):
 //!
 //! * `MONITOR_serve.json` — `{meta, events_dropped, config, summary,
 //!   rows}`: one row per closed window with per-window rates and alarm
@@ -26,8 +27,10 @@
 
 use crate::argparse::{set_flag, set_value, take_value};
 use crate::experiments::Scale;
-use crate::json::{array_document, escape, number, Json, ObjectWriter};
-use crate::meta::RunMeta;
+use crate::json::{
+    array_document, escape, number, opt_u64_field, req_f64, req_str, req_u64, Json, ObjectWriter,
+};
+use crate::meta::{validate_meta, RunMeta};
 use dg_obs::monitor::{
     AlarmKind, DriftRule, ImbalanceRule, Incident, LatencyRule, MonitorConfig, WatermarkRule,
     Window,
@@ -41,30 +44,22 @@ use dg_serve::{ServeConfig, Server, ServerMonitor, SimilarityWorkload, WorkloadS
 pub struct MonitorArgs {
     /// Reduced-scale run: small server, tier-1 workload (`--smoke`).
     pub smoke: bool,
-    /// Report path (`--json PATH`, default `MONITOR_serve.json`).
+    /// Report path (`--json PATH`, default
+    /// `artifacts/MONITOR_serve.json`).
     pub json: Option<String>,
     /// Incident path (`--incident PATH`, default
-    /// `INCIDENT_serve.jsonl`).
+    /// `artifacts/INCIDENT_serve.jsonl`).
     pub incident: Option<String>,
-    /// Validate an existing report instead of running
-    /// (`--validate PATH`).
-    pub validate: Option<String>,
-    /// Validate an existing incident file instead of running
-    /// (`--validate-incident PATH`).
-    pub validate_incident: Option<String>,
 }
 
 impl MonitorArgs {
     /// The usage message printed on a parse error.
     pub const USAGE: &'static str = "usage: serve_monitor [--smoke] [--json PATH] \
-                                     [--incident PATH]\n       serve_monitor \
-                                     [--validate PATH] [--validate-incident PATH]\n\
+                                     [--incident PATH]\n\
                                      \n\
-                                     --smoke                  short run: small server, tier-1 workload\n\
-                                     --json PATH              report path (default MONITOR_serve.json)\n\
-                                     --incident PATH          incident path (default INCIDENT_serve.jsonl)\n\
-                                     --validate PATH          validate a report's shape, no run\n\
-                                     --validate-incident PATH validate an incident file's shape, no run";
+                                     --smoke          short run: small server, tier-1 workload\n\
+                                     --json PATH      report path (default artifacts/MONITOR_serve.json)\n\
+                                     --incident PATH  incident path (default artifacts/INCIDENT_serve.jsonl)";
 
     /// Parse the arguments after the program name.
     pub fn parse<I>(args: I) -> Result<Self, String>
@@ -77,25 +72,14 @@ impl MonitorArgs {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--smoke" => set_flag(&mut out.smoke, "--smoke")?,
-                "--json" | "--incident" | "--validate" | "--validate-incident" => {
+                "--json" | "--incident" => {
                     let value = take_value(&mut it, &arg)?;
-                    let slot = match arg.as_str() {
-                        "--json" => &mut out.json,
-                        "--incident" => &mut out.incident,
-                        "--validate" => &mut out.validate,
-                        _ => &mut out.validate_incident,
-                    };
+                    let slot =
+                        if arg == "--json" { &mut out.json } else { &mut out.incident };
                     set_value(slot, &arg, value)?;
                 }
                 other => return Err(format!("unknown argument '{other}'")),
             }
-        }
-        if (out.validate.is_some() || out.validate_incident.is_some())
-            && (out.smoke || out.json.is_some() || out.incident.is_some())
-        {
-            return Err("validation modes check existing files; they cannot be combined \
-                        with --smoke/--json/--incident"
-                .into());
         }
         Ok(out)
     }
@@ -466,37 +450,6 @@ pub fn incident_jsonl(meta: &RunMeta, incident: &Incident) -> String {
     out
 }
 
-fn req_u64(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
-    obj.get(key).and_then(Json::as_u64).ok_or(format!("{what}.{key} missing or not a u64"))
-}
-
-fn req_f64(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
-    obj.get(key).and_then(Json::as_f64).ok_or(format!("{what}.{key} missing or not a number"))
-}
-
-fn req_str<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a str, String> {
-    obj.get(key).and_then(Json::as_str).ok_or(format!("{what}.{key} missing or not a string"))
-}
-
-/// `null` or a u64; rejects anything else.
-fn opt_u64_field(obj: &Json, key: &str, what: &str) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        Some(Json::Null) => Ok(None),
-        Some(v) => {
-            Ok(Some(v.as_u64().ok_or(format!("{what}.{key} is neither null nor a u64"))?))
-        }
-        None => Err(format!("{what}.{key} missing")),
-    }
-}
-
-fn validate_meta(meta: &Json, what: &str) -> Result<(), String> {
-    for field in ["git_sha", "scale", "host"] {
-        req_str(meta, field, what)?;
-    }
-    req_u64(meta, "threads", what)?;
-    Ok(())
-}
-
 /// Validate the shape of a `MONITOR_serve.json` document: provenance,
 /// run configuration, a summary consistent with the rows, and one
 /// well-formed row per closed window (steady phase first, indices
@@ -665,11 +618,7 @@ pub fn validate_incident(text: &str) -> Result<(), String> {
             Some("alarm") => {
                 alarms += 1;
                 req_u64(&obj, "window", &what)?;
-                match obj.get("shard") {
-                    Some(Json::Null) => {}
-                    Some(v) if v.as_u64().is_some() => {}
-                    _ => return Err(format!("{what}.shard is neither null nor a u64")),
-                }
+                opt_u64_field(&obj, "shard", &what)?;
                 let kind = req_str(&obj, "kind", &what)?;
                 AlarmKind::parse(kind)
                     .ok_or(format!("{what}: unknown alarm kind '{kind}'"))?;
@@ -748,16 +697,13 @@ mod tests {
         assert_eq!(a.json.as_deref(), Some("m.json"));
         assert_eq!(a.incident.as_deref(), Some("i.jsonl"));
         assert_eq!(a.scale(), Scale::Small);
-        let v = parse(&["--validate", "m.json", "--validate-incident", "i.jsonl"]).unwrap();
-        assert_eq!(v.validate.as_deref(), Some("m.json"));
-        assert_eq!(v.validate_incident.as_deref(), Some("i.jsonl"));
 
         assert!(parse(&["--smok"]).is_err(), "typos must be rejected");
         assert!(parse(&["--json"]).is_err());
         assert!(parse(&["--json", "--smoke"]).is_err(), "flag-shaped value must not be eaten");
         assert!(parse(&["--smoke", "--smoke"]).is_err());
-        assert!(parse(&["--validate", "x", "--smoke"]).is_err(), "modes are exclusive");
-        assert!(parse(&["--validate-incident", "x", "--json", "y"]).is_err());
+        assert!(parse(&["--validate", "x"]).is_err(), "validation is part of writing");
+        assert!(parse(&["--validate-incident", "x"]).is_err());
     }
 
     #[test]

@@ -67,13 +67,10 @@ fn serve_monitor_rejects_typos_with_exit_2() {
     assert_usage_exit(bin, &["--smok"]);
     assert_usage_exit(bin, &["--smoke", "--smoke"]);
     assert_usage_exit(bin, &["--json"]);
-}
-
-#[test]
-fn validate_profile_rejects_flags_and_extra_arguments_with_exit_2() {
-    let bin = env!("CARGO_BIN_EXE_validate_profile");
-    assert_usage_exit(bin, &["--pth"]);
-    assert_usage_exit(bin, &["a.json", "b.json"]);
+    // Each document is validated as it is written: there is no
+    // separate validation mode.
+    assert_usage_exit(bin, &["--validate", "x"]);
+    assert_usage_exit(bin, &["--validate-incident", "x"]);
 }
 
 /// `trace_tool`: usage errors exit 2, unreadable traces exit 1 with a

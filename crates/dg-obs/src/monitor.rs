@@ -195,7 +195,8 @@ pub struct DriftRule {
 
 impl DriftRule {
     /// The full alarm band half-width for a predicted rate `p` observed
-    /// over `lookups` samples.
+    /// over `lookups` samples. The edge is inside the band: a shard
+    /// alarms only when its deviation is strictly greater.
     pub fn band(&self, p: f64, lookups: u64) -> f64 {
         let p = p.clamp(0.0, 1.0);
         let sigma = (p * (1.0 - p) / lookups.max(1) as f64).sqrt();
@@ -595,6 +596,45 @@ mod tests {
         assert!(rule.band(0.5, 64) > rule.band(0.5, 4096));
         assert!((rule.band(0.0, 1024) - 0.04).abs() < 1e-12, "degenerate p has no noise term");
         assert!((rule.band(1.5, 1024) - 0.04).abs() < 1e-12, "p clamps to [0, 1]");
+    }
+
+    /// Exact limits of the drift rule at a zero-variance prediction
+    /// (p = 1 or 0), where [`DriftRule::band`] is `model_tolerance`
+    /// alone. Lookup counts are powers of two and the tolerance is
+    /// 64/1024, so every hit rate and deviation below is exact in
+    /// binary and `>` alone decides the boundary.
+    #[test]
+    fn drift_boundary_is_exact_at_zero_variance() {
+        let tol = 64.0 / 1024.0;
+        let monitor = |model_tolerance: f64| {
+            let baseline = vec![1.0, 0.0];
+            let rule = DriftRule { baseline, model_tolerance, sigmas: 3.0, min_lookups: 1024 };
+            assert_eq!(rule.band(1.0, 1024), model_tolerance);
+            assert_eq!(rule.band(0.0, 1 << 20), model_tolerance);
+            Monitor::new(MonitorConfig { drift: Some(rule), ..MonitorConfig::default() })
+        };
+        // Shard 0 (predicted 1.0) misses `d` of n, shard 1 (predicted
+        // 0.0) hits `d` of n: both deviate by exactly d/n.
+        let off_by = |i: u64, n: u64, d: u64| window(i, vec![shard(0, n, n - d), shard(1, n, d)]);
+
+        // At exactly the predicted rate no window alarms, however many.
+        let mut m = monitor(tol);
+        for i in 0..4096u64 {
+            assert!(m.observe(off_by(i, 1024 << (i % 8), 0)).is_empty());
+        }
+        // Below min_lookups a total collapse is not judged; just below
+        // the tolerance and exactly at it are inside the band.
+        for (i, (n, d)) in [(512, 512), (1024, 63), (1024, 64)].into_iter().enumerate() {
+            assert!(m.observe(off_by(i as u64, n, d)).is_empty());
+        }
+        assert_eq!(m.alarms_raised(), 0);
+        // One step above it: both shards alarm on the first window.
+        let alarms = m.observe(off_by(3, 1024, 65));
+        assert_eq!(alarms.len(), 2, "{alarms:?}");
+        assert!(alarms.iter().all(|a| a.threshold == tol && a.window == 3));
+        // A deviation of the tolerance plus one ulp alarms.
+        let below = f64::from_bits(tol.to_bits() - 1);
+        assert_eq!(monitor(below).observe(off_by(0, 1024, 64)).len(), 2);
     }
 
     #[test]

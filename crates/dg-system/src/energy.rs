@@ -22,13 +22,6 @@ pub struct EnergyReport {
     pub breakdown: EnergyBreakdown,
 }
 
-impl EnergyReport {
-    /// Total (dynamic + leakage) LLC energy, pJ.
-    pub fn total_pj(&self) -> f64 {
-        self.llc_dynamic_pj + self.llc_leakage_pj
-    }
-}
-
 /// The LLC structure a [`CostRow`] charges: one column of the energy
 /// breakdown.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -12,11 +12,12 @@
 # differential oracle +
 # byte-diff of deterministic exports across worker counts, whose
 # repro_all --small runs end with the paper-claims gate +
-# paper-scale repro_all byte-compared against repro_all_paper.txt +
-# profile smoke +
+# paper-scale repro_all byte-compared against artifacts/repro_all_paper.txt +
+# profile smoke (the writer validates the profile before writing it) +
 # the concurrent server's analytic hit-rate gate +
 # monitored-serve smoke asserting the telemetry plane
-# flags an injected anomaly without steady-state false positives +
+# flags an injected anomaly without steady-state false positives
+# (report and incident validated by the writer) +
 # sampled-simulation gate against full-coverage references with
 # byte-diff determinism across runs and worker counts +
 # the oracle and sampled gates again under the `checked` profile,
